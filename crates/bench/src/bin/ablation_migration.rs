@@ -24,12 +24,11 @@ use wsn_sim::SimDuration;
 
 /// The scenario grid: for both protocol variants and every hop count,
 /// `trials` one-way smove injections on the lossy 5×5 testbed.
-fn scenarios(trials: u32, sim_threads: agilla::SimThreads) -> Vec<(bool, i16, ScenarioSpec)> {
+fn scenarios(trials: u32) -> Vec<(bool, i16, ScenarioSpec)> {
     let mut items = Vec::new();
     for &hop_by_hop in &[true, false] {
         let config = AgillaConfig {
             hop_by_hop_migration: hop_by_hop,
-            sim_threads,
             ..AgillaConfig::default()
         };
         let bed = Testbed::lossy_5x5(config, 0xAB1);
@@ -54,7 +53,7 @@ fn main() {
         "Ablation — migration protocol: hop-by-hop acks vs end-to-end ({trials} trials/hop)\n"
     );
     let mut engine = TrialExecutor::new(args.threads);
-    let items = scenarios(trials, args.sim_threads);
+    let items = scenarios(trials);
     let arrived: Vec<bool> = engine.run(&items, |(_, hops, spec)| {
         let trial = spec.execute();
         let target = trial

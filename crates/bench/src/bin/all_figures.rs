@@ -3,15 +3,12 @@
 //! publication-grade numbers run the individual binaries with their default
 //! (100-trial) settings in release mode.
 //!
-//! Usage: `all_figures [--quick] [--trials N] [--threads N] [--shards N|auto]
-//! [--sim-threads N|auto] [--no-wall]` — `--threads` fans each figure's
-//! trials across SimEngine workers, `--shards` runs the scale family on the
-//! spatially sharded engine, and `--sim-threads` threads work *inside*
-//! every figure's trials (the figures' stdout is byte-identical at any
-//! thread, shard, and sim-thread count), and `--no-wall` suppresses the
-//! host wall-clock columns of fig12 and fig_scale (the nondeterministic
-//! outputs), so two runs can be diffed byte-for-byte; CI diffs `--threads
-//! 2` and `--sim-threads 2` runs against the serial one exactly this way.
+//! Usage: `all_figures [--quick] [--trials N] [--threads N] [--no-wall]` —
+//! `--threads` fans each figure's trials across SimEngine workers (the
+//! figures' stdout is byte-identical at any thread count), and `--no-wall`
+//! suppresses the host wall-clock columns of fig12 and fig_scale (the
+//! nondeterministic outputs), so two runs can be diffed byte-for-byte; CI
+//! diffs a `--threads 2` run against the serial one exactly this way.
 //!
 //! After the run a `BENCH_all_figures.json` artifact records each binary's
 //! wall time and exit status for regression tracking.
@@ -34,46 +31,26 @@ fn main() {
     } else {
         &[]
     };
-    // The binary list extends the historical one with fig_mix (PR 5's
+    // The binary list extends the historical one with fig_mix (the
     // multi-application family; fig_energy stays a standalone family),
-    // fig_scale (PR 7's sharded-engine scale family), and fig_tenancy
-    // (PR 8's multi-tenancy family); EXPERIMENTS.md records wall clocks
-    // per list revision.
-    let sim_flags: Vec<String> = match args.sim_threads {
-        agilla::SimThreads::Serial => vec![],
-        agilla::SimThreads::Auto => vec!["--sim-threads".into(), "auto".into()],
-        agilla::SimThreads::Fixed(n) => vec!["--sim-threads".into(), n.to_string()],
-    };
-    let with_threads = |t: &str| {
-        [
-            std::slice::from_ref(&t.to_string()),
-            threaded,
-            sim_flags.as_slice(),
-        ]
-        .concat()
-    };
+    // fig_scale (the field-scale family), and fig_tenancy (the
+    // multi-tenancy family); EXPERIMENTS.md records wall clocks per list
+    // revision.
+    let with_threads = |t: &str| [std::slice::from_ref(&t.to_string()), threaded].concat();
     let mix_trials = if args.quick { "5" } else { "20" }.to_string();
     let mut scale_args = with_threads(if args.quick { "2" } else { "3" });
     scale_args.extend(no_wall.iter().cloned());
     if args.quick {
         scale_args.push("--quick".into());
     }
-    let shard_flags = |extra: &mut Vec<String>| match args.shards {
-        agilla::Shards::Serial => {}
-        agilla::Shards::Auto => extra.extend(["--shards".into(), "auto".into()]),
-        agilla::Shards::Fixed(n) => extra.extend(["--shards".into(), n.to_string()]),
-    };
-    shard_flags(&mut scale_args);
-    let mut tenancy_args = with_threads(&mix_trials);
-    shard_flags(&mut tenancy_args);
     let bins: Vec<(&str, Vec<String>)> = vec![
         ("fig9_reliability", with_threads(&trials)),
         ("fig10_latency", with_threads(&trials)),
         ("fig11_remote_ops", with_threads(&trials)),
-        ("fig12_local_ops", [no_wall, sim_flags.as_slice()].concat()),
+        ("fig12_local_ops", no_wall.to_vec()),
         ("fig_mix", with_threads(&mix_trials)),
         ("fig_scale", scale_args),
-        ("fig_tenancy", tenancy_args),
+        ("fig_tenancy", with_threads(&mix_trials)),
         ("table_memory", vec![]),
         ("mate_comparison", vec![]),
         ("ablation_migration", with_threads(&ablation)),

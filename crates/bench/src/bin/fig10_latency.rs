@@ -5,9 +5,9 @@
 //! retransmission (the paper's 2 s timeout retries would otherwise dominate
 //! the mean).
 //!
-//! Usage: `fig10_latency [trials] [--threads N] [--sim-threads N|auto]` —
-//! stdout is byte-identical at any thread count. A `BENCH_fig10.json`
-//! artifact with the measured rows lands in the working directory.
+//! Usage: `fig10_latency [trials] [--threads N]` — stdout is byte-identical
+//! at any thread count. A `BENCH_fig10.json` artifact with the measured
+//! rows lands in the working directory.
 
 use agilla::AgillaConfig;
 use agilla_bench::{fig9_fig10, BenchArgs, Json, Table, TrialExecutor};
@@ -16,10 +16,7 @@ fn main() {
     let args = BenchArgs::parse();
     let trials = args.trials_or(100);
     println!("Figure 10 — latency of smove vs rout ({trials} trials/hop)\n");
-    let config = AgillaConfig {
-        sim_threads: args.sim_threads,
-        ..AgillaConfig::default()
-    };
+    let config = AgillaConfig::default();
     let mut engine = TrialExecutor::new(args.threads);
     let t0 = std::time::Instant::now();
     let rows = fig9_fig10(trials, 0xF10, &config, args.threads);

@@ -5,9 +5,9 @@
 //! variance (retransmit timers). Also prints the tracking-speed corollary
 //! the paper derives ("an agent can migrate across a network at 600km/h").
 //!
-//! Usage: `fig11_remote_ops [trials] [--threads N] [--sim-threads N|auto]`
-//! — stdout is byte-identical at any thread count. A `BENCH_fig11.json`
-//! artifact with the measured rows lands in the working directory.
+//! Usage: `fig11_remote_ops [trials] [--threads N]` — stdout is byte-identical
+//! at any thread count. A `BENCH_fig11.json` artifact with the measured
+//! rows lands in the working directory.
 
 use agilla::AgillaConfig;
 use agilla_bench::{fig11_one_hop, BenchArgs, Json, Table, TrialExecutor};
@@ -16,10 +16,7 @@ fn main() {
     let args = BenchArgs::parse();
     let trials = args.trials_or(100);
     println!("Figure 11 — one-hop latency of remote operations ({trials} trials)\n");
-    let config = AgillaConfig {
-        sim_threads: args.sim_threads,
-        ..AgillaConfig::default()
-    };
+    let config = AgillaConfig::default();
     let mut engine = TrialExecutor::new(args.threads);
     let t0 = std::time::Instant::now();
     let rows = fig11_one_hop(trials, 0xF11, &config, args.threads);

@@ -8,10 +8,10 @@
 //! Usage: `fig12_local_ops [reps] [--no-wall]` — `--no-wall` suppresses
 //! the host wall-clock column (the one nondeterministic output), so runs
 //! can be diffed byte-for-byte in CI. Wall timing is inherently serial;
-//! `--threads` and `--sim-threads` are accepted for interface uniformity
-//! and ignored (no network is built). A `BENCH_fig12.json` artifact with
-//! the same rows (wall timings included unless suppressed) lands in the
-//! working directory.
+//! `--threads` is accepted for interface uniformity and ignored (no
+//! network is built). A `BENCH_fig12.json` artifact with the same rows
+//! (wall timings included unless suppressed) lands in the working
+//! directory.
 
 use agilla_bench::{fig12_local_ops_opts, BenchArgs, Json, Table};
 

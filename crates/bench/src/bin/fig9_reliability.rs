@@ -4,9 +4,8 @@
 //! count on the (lossy) 5×5 testbed; smove failures are halved to account
 //! for the double migration.
 //!
-//! Usage: `fig9_reliability [trials] [--threads N] [--sim-threads N|auto]`
-//! — trials fan across the SimEngine executor and `--sim-threads` threads
-//! work inside each trial; stdout is byte-identical at any thread count
+//! Usage: `fig9_reliability [trials] [--threads N]` — trials fan across
+//! the SimEngine executor; stdout is byte-identical at any thread count
 //! (the throughput report goes to stderr). A `BENCH_fig9.json` artifact
 //! with the measured rows lands in the working directory.
 
@@ -17,10 +16,7 @@ fn main() {
     let args = BenchArgs::parse();
     let trials = args.trials_or(100);
     println!("Figure 9 — reliability of smove vs rout ({trials} trials/hop)\n");
-    let config = AgillaConfig {
-        sim_threads: args.sim_threads,
-        ..AgillaConfig::default()
-    };
+    let config = AgillaConfig::default();
     let mut engine = TrialExecutor::new(args.threads);
     let t0 = std::time::Instant::now();
     let rows = fig9_fig10(trials, 0xF19, &config, args.threads);

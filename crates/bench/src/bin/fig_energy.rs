@@ -16,12 +16,12 @@
 //!    base station's FIRETRACKER re-clones to fresh alerts, and
 //!    `hop_failover` carries sessions around the growing holes.
 //!
-//! Usage: `fig_energy [trials] [--threads N] [--sim-threads N|auto]` —
-//! `trials` scales the per-op sampling (default 20; CI smoke uses 2, which
-//! also shrinks the sim horizons). Trials and sweep points fan across the
-//! SimEngine executor and `--sim-threads` threads work inside each trial;
-//! stdout is byte-identical at any thread count. A `BENCH_fig_energy.json`
-//! artifact with all three tables lands in the working directory.
+//! Usage: `fig_energy [trials] [--threads N]` — `trials` scales the
+//! per-op sampling (default 20; CI smoke uses 2, which also shrinks the
+//! sim horizons). Trials and sweep points fan across the SimEngine
+//! executor; stdout is byte-identical at any thread count. A
+//! `BENCH_fig_energy.json` artifact with all three tables lands in the
+//! working directory.
 
 use agilla_bench::{
     fig_energy_agents_alive, fig_energy_lifetime, fig_energy_per_op, BenchArgs, Json, Table,
@@ -37,7 +37,7 @@ fn main() {
     // --- 1. joules per operation ---------------------------------------
     println!("fig_energy — joules per operation ({trials} trials, 1 hop, quiet link)\n");
     let t0 = std::time::Instant::now();
-    let rows = fig_energy_per_op(trials, 0xE0, args.sim_threads, args.threads);
+    let rows = fig_energy_per_op(trials, 0xE0, args.threads);
     engine.note(trials as usize, t0.elapsed());
     let mut t = Table::new(vec!["op", "total mJ", "radio mJ", "cpu mJ", "n"]);
     for r in &rows {
@@ -67,14 +67,7 @@ fn main() {
          ({battery} J/mote, 26 motes, beacons @1 Hz, horizon {horizon} s)\n"
     );
     let t0 = std::time::Instant::now();
-    let rows = fig_energy_lifetime(
-        &intervals,
-        battery,
-        horizon,
-        0xE1,
-        args.sim_threads,
-        args.threads,
-    );
+    let rows = fig_energy_lifetime(&intervals, battery, horizon, 0xE1, args.threads);
     engine.note(intervals.len(), t0.elapsed());
     let mut t = Table::new(vec![
         "LPL interval",
@@ -123,7 +116,7 @@ fn main() {
          mains-powered base, fire at t=30 s, hop_failover on)\n"
     );
     let t0 = std::time::Instant::now();
-    let samples = fig_energy_agents_alive(battery, horizon, step, 0xE2, args.sim_threads);
+    let samples = fig_energy_agents_alive(battery, horizon, step, 0xE2);
     engine.note(1, t0.elapsed());
     let mut t = Table::new(vec!["t s", "nodes alive", "agents alive", "deaths"]);
     for s in &samples {

@@ -13,9 +13,8 @@
 //! 4-slot agent manager), completed hop migrations, completed remote
 //! tuple-space ops, halted agents, and protocol frames per trial.
 //!
-//! Usage: `fig_mix [trials] [--threads N] [--sim-threads N|auto]` —
-//! trials fan across the SimEngine executor and `--sim-threads` threads
-//! work inside each trial; stdout is byte-identical at any thread count.
+//! Usage: `fig_mix [trials] [--threads N]` — trials fan across the
+//! SimEngine executor; stdout is byte-identical at any thread count.
 
 use agilla::AgillaConfig;
 use agilla_bench::{fig_mix, fig_mix_loss_ramp, BenchArgs, Json, Table, TrialExecutor};
@@ -27,10 +26,7 @@ fn main() {
     println!(
         "mix: smove round-trip x2 : rout x2 : fire-tracker x1; fire at 20 s; mote dies at 30 s\n"
     );
-    let config = AgillaConfig {
-        sim_threads: args.sim_threads,
-        ..AgillaConfig::default()
-    };
+    let config = AgillaConfig::default();
     let mut engine = TrialExecutor::new(args.threads);
     let t0 = std::time::Instant::now();
     let rows = fig_mix(trials, 0xF1A, &config, args.threads);

@@ -19,9 +19,8 @@
 //!    tracker clones chase the alerts, and a faster front compresses the
 //!    whole response window.
 //!
-//! Usage: `fig_mobile [trials] [--threads N] [--shards N|auto]
-//! [--sim-threads N|auto]` — stdout is byte-identical at any thread,
-//! shard, or sim-thread setting.
+//! Usage: `fig_mobile [trials] [--threads N]` — stdout is byte-identical
+//! at any thread count.
 
 use agilla::AgillaConfig;
 use agilla_bench::{
@@ -32,11 +31,7 @@ fn main() {
     let args = BenchArgs::parse();
     let trials = args.trials_or(10);
     println!("fig_mobile — moving motes on a position-driven channel ({trials} trials/point)\n");
-    let config = AgillaConfig {
-        shards: args.shards,
-        sim_threads: args.sim_threads,
-        ..AgillaConfig::default()
-    };
+    let config = AgillaConfig::default();
     let mut engine = TrialExecutor::new(args.threads);
 
     // Vehicle crossing: delivery decays with speed.

@@ -7,23 +7,17 @@
 //! second — plus a small smove/rout workload at the base corner, and
 //! reports the deterministic work done per size.
 //!
-//! `--shards N|auto` runs every trial on the spatially sharded engine
-//! and `--sim-threads N|auto` threads work inside each trial. The shard
-//! merge is exact and every RNG draw is a per-node substream, so every
-//! stdout byte is identical at any shard, sim-thread, and thread count —
-//! CI diffs `--shards 2 --threads 2` and `--sim-threads 2` runs against
-//! the serial run. Shard count, per-shard work distribution, barrier and
-//! mailbox counters, and the engine report go to stderr only; wall-clock
-//! rate columns are suppressed by `--no-wall`.
+//! Every stdout byte is identical at any `--threads` count; the engine
+//! report goes to stderr, and wall-clock rate columns are suppressed by
+//! `--no-wall`.
 //!
 //! A `BENCH_fig_scale.json` artifact with the same rows (plus rates,
 //! unless suppressed) lands in the working directory.
 //!
-//! Usage: `fig_scale [trials] [--threads N] [--shards N|auto]
-//! [--sim-threads N|auto] [--no-wall] [--quick]`.
+//! Usage: `fig_scale [trials] [--threads N] [--no-wall] [--quick]`.
 
 use agilla_bench::scale::{DEFAULT_SIZES, FULL_SIZES, QUICK_SIZES};
-use agilla_bench::{fig_scale, shard_distribution_line, BenchArgs, Json, Table, TrialExecutor};
+use agilla_bench::{fig_scale, BenchArgs, Json, Table, TrialExecutor};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -43,16 +37,7 @@ fn main() {
     );
     let mut engine = TrialExecutor::new(args.threads);
     let t0 = std::time::Instant::now();
-    let rows = fig_scale(
-        sizes,
-        trials,
-        sim_s,
-        0x5CA1E,
-        args.shards,
-        args.sim_threads,
-        args.threads,
-        !args.no_wall,
-    );
+    let rows = fig_scale(sizes, trials, sim_s, 0x5CA1E, args.threads, !args.no_wall);
     engine.note(sizes.len() * trials as usize, t0.elapsed());
 
     let mut headers = vec![
@@ -87,18 +72,10 @@ fn main() {
     let big = rows.last().expect("sizes");
     println!(
         "\nShape checks: beacon load scales with the field: {} | \
-         agents keep arriving at every size: {} | \
-         every event is accounted to a shard: {}",
+         agents keep arriving at every size: {}",
         big.beacons > 2 * small.beacons,
         rows.iter().all(|r| r.injected > 0),
-        rows.iter()
-            .all(|r| r.shard_events.iter().sum::<u64>() == r.events),
     );
-
-    // Shard-count-dependent detail stays off the diffable stdout.
-    for r in &rows {
-        eprintln!("fig_scale: {}", shard_distribution_line(r));
-    }
     engine.report("fig_scale");
 
     let artifact = Json::obj([
@@ -117,10 +94,6 @@ fn main() {
                             ("frames", Json::int(r.frames)),
                             ("beacons", Json::int(r.beacons)),
                             ("events", Json::int(r.events)),
-                            (
-                                "shard_events",
-                                Json::arr(r.shard_events.iter().map(|&d| Json::int(d)).collect()),
-                            ),
                             ("sim_per_wall_s", Json::opt_num(r.sim_per_wall_s)),
                         ])
                     })

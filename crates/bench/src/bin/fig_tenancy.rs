@@ -18,9 +18,8 @@
 //! upper bounds, ms). A `BENCH_fig_tenancy.json` artifact with the same
 //! rows lands in the working directory.
 //!
-//! Usage: `fig_tenancy [trials] [--threads N] [--shards N|auto]
-//! [--sim-threads N|auto]` — stdout is byte-identical at any thread and
-//! shard count.
+//! Usage: `fig_tenancy [trials] [--threads N]` — stdout is byte-identical
+//! at any thread count.
 
 use agilla::AgillaConfig;
 use agilla_bench::{fig_tenancy, BenchArgs, Json, Table, TrialExecutor};
@@ -35,11 +34,8 @@ fn main() {
     );
     let mut engine = TrialExecutor::new(args.threads);
     let t0 = std::time::Instant::now();
-    let config = AgillaConfig {
-        sim_threads: args.sim_threads,
-        ..AgillaConfig::default()
-    };
-    let rows = fig_tenancy(trials, 0x7E4A, &config, args.threads, args.shards);
+    let config = AgillaConfig::default();
+    let rows = fig_tenancy(trials, 0x7E4A, &config, args.threads);
     engine.note(trials as usize, t0.elapsed());
 
     let fmt_ms = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |ms| format!("<={ms}"));

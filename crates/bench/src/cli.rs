@@ -2,13 +2,8 @@
 //!
 //! Every binary accepts the same shape: an optional positional trial count
 //! (kept for backwards compatibility), `--trials N`, `--threads N` (or
-//! `--threads auto` for one worker per available core), `--shards N` (or
-//! `--shards auto`) to run each trial's event timeline spatially sharded
-//! — byte-identical output, purely a scale knob — `--sim-threads N` (or
-//! `--sim-threads auto`) to thread work *inside* each trial (again
-//! byte-identical: per-node RNG substreams make every draw a function of
-//! that node's own event order), and `--no-wall` (suppress host
-//! wall-clock columns so outputs can be diffed across runs).
+//! `--threads auto` for one worker per available core), and `--no-wall`
+//! (suppress host wall-clock columns so outputs can be diffed across runs).
 //!
 //! Degenerate values are rejected up front with a clear message —
 //! `--trials 0` would silently print figures made of no data, and
@@ -27,12 +22,6 @@ pub struct BenchArgs {
     pub no_wall: bool,
     /// `--quick` (used by `all_figures` for reduced trial counts).
     pub quick: bool,
-    /// Spatial event-queue sharding for each trial (`--shards N|auto`,
-    /// default serial). Output is byte-identical at any setting.
-    pub shards: agilla::Shards,
-    /// Intra-trial worker threads (`--sim-threads N|auto`, default
-    /// serial). Output is byte-identical at any setting.
-    pub sim_threads: agilla::SimThreads,
 }
 
 impl BenchArgs {
@@ -44,8 +33,7 @@ impl BenchArgs {
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
-                    "usage: [trials] [--trials N>=1] [--threads N>=1|auto] \
-                     [--shards N>=1|auto] [--sim-threads N>=1|auto] [--no-wall] [--quick]"
+                    "usage: [trials] [--trials N>=1] [--threads N>=1|auto] [--no-wall] [--quick]"
                 );
                 std::process::exit(2);
             }
@@ -65,8 +53,6 @@ impl BenchArgs {
             threads: 1,
             no_wall: false,
             quick: false,
-            shards: agilla::Shards::Serial,
-            sim_threads: agilla::SimThreads::Serial,
         };
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -92,45 +78,6 @@ impl BenchArgs {
                 "--trials" => {
                     let v = it.next().ok_or("--trials takes a value")?;
                     out.trials = Some(parse_trials(&v)?);
-                }
-                "--shards" => {
-                    let v = it.next().ok_or("--shards takes a value")?;
-                    out.shards = if v == "auto" {
-                        agilla::Shards::Auto
-                    } else {
-                        match v.parse::<u32>() {
-                            Ok(0) => {
-                                return Err(
-                                    "--shards must be at least 1 (use `--shards auto` for one \
-                                     shard per core)"
-                                        .into(),
-                                )
-                            }
-                            Ok(1) => agilla::Shards::Serial,
-                            Ok(n) => agilla::Shards::Fixed(n),
-                            Err(_) => return Err(format!("--shards takes a number, got `{v}`")),
-                        }
-                    };
-                }
-                "--sim-threads" => {
-                    let v = it.next().ok_or("--sim-threads takes a value")?;
-                    out.sim_threads =
-                        if v == "auto" {
-                            agilla::SimThreads::Auto
-                        } else {
-                            match v.parse::<u32>() {
-                                Ok(0) => return Err(
-                                    "--sim-threads must be at least 1 (use `--sim-threads auto` \
-                                     for one worker per core)"
-                                        .into(),
-                                ),
-                                Ok(1) => agilla::SimThreads::Serial,
-                                Ok(n) => agilla::SimThreads::Fixed(n),
-                                Err(_) => {
-                                    return Err(format!("--sim-threads takes a number, got `{v}`"))
-                                }
-                            }
-                        };
                 }
                 "--no-wall" => out.no_wall = true,
                 "--quick" => out.quick = true,
@@ -197,62 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_maps_to_the_config_knob() {
-        assert_eq!(parse(&[]).unwrap().shards, agilla::Shards::Serial);
-        assert_eq!(
-            parse(&["--shards", "1"]).unwrap().shards,
-            agilla::Shards::Serial,
-            "one shard IS the serial path"
-        );
-        assert_eq!(
-            parse(&["--shards", "4"]).unwrap().shards,
-            agilla::Shards::Fixed(4)
-        );
-        assert_eq!(
-            parse(&["--shards", "auto"]).unwrap().shards,
-            agilla::Shards::Auto
-        );
-    }
-
-    #[test]
-    fn sim_threads_flag_maps_to_the_config_knob() {
-        assert_eq!(parse(&[]).unwrap().sim_threads, agilla::SimThreads::Serial);
-        assert_eq!(
-            parse(&["--sim-threads", "1"]).unwrap().sim_threads,
-            agilla::SimThreads::Serial,
-            "one worker IS the serial path"
-        );
-        assert_eq!(
-            parse(&["--sim-threads", "4"]).unwrap().sim_threads,
-            agilla::SimThreads::Fixed(4)
-        );
-        assert_eq!(
-            parse(&["--sim-threads", "auto"]).unwrap().sim_threads,
-            agilla::SimThreads::Auto
-        );
-    }
-
-    #[test]
-    fn zero_sim_threads_rejected_with_guidance() {
-        let err = parse(&["--sim-threads", "0"]).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        assert!(err.contains("auto"), "{err}");
-        assert!(parse(&["--sim-threads", "x"])
-            .unwrap_err()
-            .contains("number"));
-        assert!(parse(&["--sim-threads"]).unwrap_err().contains("value"));
-    }
-
-    #[test]
-    fn zero_shards_rejected_with_guidance() {
-        let err = parse(&["--shards", "0"]).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        assert!(err.contains("auto"), "{err}");
-        assert!(parse(&["--shards", "two"]).unwrap_err().contains("number"));
-        assert!(parse(&["--shards"]).unwrap_err().contains("value"));
-    }
-
-    #[test]
     fn zero_threads_rejected_with_guidance() {
         let err = parse(&["--threads", "0"]).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
@@ -269,8 +160,12 @@ mod tests {
 
     #[test]
     fn typoed_flag_is_rejected_not_swallowed() {
-        let err = parse(&["--thread", "2"]).unwrap_err();
-        assert!(err.contains("unexpected argument"), "{err}");
+        // Retired flags count as typos: a script still passing one must
+        // fail rather than silently run a different configuration.
+        for args in [["--thread", "2"], ["--shards", "2"], ["--sim-threads", "2"]] {
+            let err = parse(&args).unwrap_err();
+            assert!(err.contains("unexpected argument"), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use agilla::scenario::{
 use agilla::workload;
 use agilla::{
     AgillaConfig, AgillaNetwork, AppId, AppProfile, AppQuota, DistanceLoss, EnergyConfig,
-    Environment, FireModel, Motion, Priority, Shards, SimThreads, TenantApp, Testbed, TopologySpec,
+    Environment, FireModel, Motion, Priority, TenantApp, Testbed, TopologySpec,
 };
 use agilla_vm::exec::{run_to_effect, StepResult, TestHost};
 use agilla_vm::isa::{CostModel, Opcode};
@@ -572,20 +572,13 @@ fn energy_ops(target: Location) -> [(&'static str, String); 4] {
 /// jitter across the boundary and drown a ~2 mJ operation in ±1-beacon
 /// noise); the median over trials guards whatever residue remains. One
 /// worker handles a whole trial (control + all four ops share its seed), so
-/// trials parallelize freely across `threads`; `sim_threads` threads the
-/// work inside each trial without changing a single draw.
-pub fn fig_energy_per_op(
-    trials: u32,
-    base_seed: u64,
-    sim_threads: SimThreads,
-    threads: usize,
-) -> Vec<EnergyOpRow> {
+/// trials parallelize freely across `threads`.
+pub fn fig_energy_per_op(trials: u32, base_seed: u64, threads: usize) -> Vec<EnergyOpRow> {
     const RUN: SimDuration = SimDuration::from_micros(10_000_000);
     let target = Location::new(2, 1);
     let config = AgillaConfig {
         energy: EnergyConfig::with_battery(1_000.0),
         beacon_period: SimDuration::from_secs(3_600),
-        sim_threads,
         ..AgillaConfig::default()
     };
     let bed = Testbed::line(2, config, base_seed);
@@ -706,7 +699,6 @@ pub fn fig_energy_lifetime(
     battery_j: f64,
     horizon_s: u64,
     seed: u64,
-    sim_threads: SimThreads,
     threads: usize,
 ) -> Vec<LifetimeRow> {
     run_trials_parallel(intervals_ms, threads, |&interval| {
@@ -716,7 +708,6 @@ pub fn fig_energy_lifetime(
         };
         let config = AgillaConfig {
             energy,
-            sim_threads,
             ..AgillaConfig::default()
         };
         // Stepped driving with an early exit predicate: build from the
@@ -766,12 +757,10 @@ pub fn fig_energy_agents_alive(
     horizon_s: u64,
     step_s: u64,
     seed: u64,
-    sim_threads: SimThreads,
 ) -> Vec<AliveSample> {
     let config = AgillaConfig {
         hop_failover: true,
         energy: EnergyConfig::with_battery(battery_j),
-        sim_threads,
         ..AgillaConfig::default()
     };
     let mut net: AgillaNetwork = Testbed::reliable_5x5(config, seed).scenario(0).build();
@@ -1146,19 +1135,18 @@ fn fig_tenancy_scenario(bed: &Testbed, seed_mix: u64) -> ScenarioSpec {
 
 /// Runs the multi-tenancy SLO experiment (fig_tenancy): `trials`
 /// independent 30 s four-app scenarios on the lossy testbed, fanned
-/// across `threads` workers (and optionally the sharded engine), folded
-/// into one row per application. Counters sum across trials; latency
-/// histograms merge, so the percentiles describe the whole population.
+/// across `threads` workers, folded into one row per application.
+/// Counters sum across trials; latency histograms merge, so the
+/// percentiles describe the whole population.
 pub fn fig_tenancy(
     trials: u32,
     base_seed: u64,
     config: &AgillaConfig,
     threads: usize,
-    shards: Shards,
 ) -> Vec<TenancyRow> {
     let bed = Testbed::lossy_5x5(config.clone(), base_seed);
     let items: Vec<ScenarioSpec> = (0..trials)
-        .map(|t| fig_tenancy_scenario(&bed, u64::from(t) * 524_287).shards(shards))
+        .map(|t| fig_tenancy_scenario(&bed, u64::from(t) * 524_287))
         .collect();
     let outcomes = run_trials_parallel(&items, threads, |spec| {
         let mut trial = spec.execute();
@@ -1715,7 +1703,7 @@ mod tests {
 
     #[test]
     fn fig_energy_per_op_migrations_cost_more_than_tuple_ops() {
-        let rows = fig_energy_per_op(2, 99, SimThreads::Serial, 1);
+        let rows = fig_energy_per_op(2, 99, 1);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.samples > 0, "{} never completed", r.op);
@@ -1738,7 +1726,7 @@ mod tests {
 
     #[test]
     fn fig_energy_lifetime_lpl_beats_always_on() {
-        let rows = fig_energy_lifetime(&[None, Some(100)], 0.4, 400, 17, SimThreads::Serial, 1);
+        let rows = fig_energy_lifetime(&[None, Some(100)], 0.4, 400, 17, 1);
         assert_eq!(rows.len(), 2);
         let on = rows[0].first_death_s.expect("always-on dies fast");
         assert!(rows[0].deaths > 0);
@@ -1768,7 +1756,7 @@ mod tests {
 
     #[test]
     fn fig_tenancy_enforces_quotas_allocation_and_preemption() {
-        let rows = fig_tenancy(2, 0xF1A, &AgillaConfig::default(), 1, Shards::Serial);
+        let rows = fig_tenancy(2, 0xF1A, &AgillaConfig::default(), 1);
         assert_eq!(rows.len(), 4);
         let get = |name: &str| {
             rows.iter()
@@ -1796,12 +1784,10 @@ mod tests {
     }
 
     #[test]
-    fn fig_tenancy_identical_across_threads_and_shards() {
-        let serial = fig_tenancy(2, 7, &AgillaConfig::default(), 1, Shards::Serial);
-        let threaded = fig_tenancy(2, 7, &AgillaConfig::default(), 4, Shards::Serial);
-        let sharded = fig_tenancy(2, 7, &AgillaConfig::default(), 2, Shards::Fixed(2));
+    fn fig_tenancy_identical_across_threads() {
+        let serial = fig_tenancy(2, 7, &AgillaConfig::default(), 1);
+        let threaded = fig_tenancy(2, 7, &AgillaConfig::default(), 4);
         assert_eq!(serial, threaded);
-        assert_eq!(serial, sharded);
     }
 
     #[test]
@@ -1899,31 +1885,21 @@ mod tests {
     }
 
     #[test]
-    fn fig_mobile_identical_across_threads_shards_and_sim_threads() {
-        let run = |config: &AgillaConfig, threads: usize| {
+    fn fig_mobile_identical_across_threads() {
+        let config = AgillaConfig::default();
+        let run = |threads: usize| {
             (
-                fig_mobile_crossing(2, 9, config, threads),
-                fig_mobile_relay(2, 9, config, threads),
-                fig_mobile_fire(1, 9, config, threads),
+                fig_mobile_crossing(2, 9, &config, threads),
+                fig_mobile_relay(2, 9, &config, threads),
+                fig_mobile_fire(1, 9, &config, threads),
             )
         };
-        let serial = run(&AgillaConfig::default(), 1);
-        let threaded = run(&AgillaConfig::default(), 4);
-        let sharded = run(
-            &AgillaConfig {
-                shards: Shards::Fixed(2),
-                sim_threads: SimThreads::Fixed(2),
-                ..AgillaConfig::default()
-            },
-            2,
-        );
-        assert_eq!(serial, threaded);
-        assert_eq!(serial, sharded);
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
     fn fig_energy_agents_alive_declines_as_nodes_die() {
-        let samples = fig_energy_agents_alive(2.0, 120, 30, 23, SimThreads::Serial);
+        let samples = fig_energy_agents_alive(2.0, 120, 30, 23);
         assert_eq!(samples.len(), 4);
         assert!(samples[0].nodes_alive == 26, "everyone starts alive");
         assert!(samples[0].agents_alive >= 6, "tracker + 5 detectors");

@@ -27,4 +27,4 @@ pub use harness::{
     RemoteOpKind, TenancyRow,
 };
 pub use report::Table;
-pub use scale::{fig_scale, shard_distribution_line, ScaleRow};
+pub use scale::{fig_scale, ScaleRow};

@@ -7,22 +7,12 @@
 //! small mobile-agent workload near the base corner, and reports both the
 //! deterministic work done (frames, beacons, migrations, events
 //! dispatched) and — unless suppressed — the host-dependent simulation
-//! rate in simulated seconds per wall second.
-//!
-//! The sharded engine is the knob under test: `--shards N|auto` partitions
-//! each trial's event timeline into spatial shards
-//! ([`agilla::Shards`]), and because the shard merge is
-//! exact, **every deterministic column is byte-identical at any shard
-//! count** — CI diffs a `--shards 2 --threads 2` run against the serial
-//! one. `--sim-threads N|auto` additionally threads work *inside* each
-//! trial (mote construction today; the [`wsn_sim::ParallelShardedEngine`]
-//! substrate is the growth path), with the same byte-identity contract.
-//! The per-shard work distribution and the engine's barrier/mailbox
-//! counters go to stderr with the engine report.
+//! rate in simulated seconds per wall second. Every deterministic column is
+//! byte-identical at any `--threads` count.
 
 use agilla::scenario::{OneShot, Periodic, ScenarioSpec};
 use agilla::testbed::{Testbed, TopologySpec};
-use agilla::{workload, AgillaConfig, Shards, SimThreads};
+use agilla::{workload, AgillaConfig};
 use wsn_common::Location;
 use wsn_radio::{LossModel, Topology};
 use wsn_sim::SimDuration;
@@ -41,7 +31,7 @@ pub const FULL_SIZES: [usize; 3] = [1_024, 10_000, 100_489];
 
 /// One row of the fig_scale sweep: everything a size's trials did, summed
 /// across trials. All fields except the wall rate are seed-determined and
-/// independent of the shard count and thread count.
+/// independent of the thread count.
 #[derive(Debug, Clone)]
 pub struct ScaleRow {
     /// Motes in the field (`side²`).
@@ -60,16 +50,6 @@ pub struct ScaleRow {
     pub beacons: u64,
     /// Events dispatched across trials (every queue pop).
     pub events: u64,
-    /// Per-shard events dispatched, summed across trials — the work
-    /// distribution the sharded engine reports (stderr only: its length is
-    /// the shard count, which must not leak into diffable stdout).
-    pub shard_events: Vec<u64>,
-    /// Conservative lookahead barriers the sharded engine opened, summed
-    /// across trials (0 when serial; stderr only).
-    pub barriers: u64,
-    /// Events that crossed a shard boundary (scheduled from one shard's
-    /// handler into another's queue), summed across trials (stderr only).
-    pub mailbox_events: u64,
     /// Simulated seconds per wall-clock second, summed over per-trial CPU
     /// time — `None` when wall timing is suppressed (`--no-wall`).
     pub sim_per_wall_s: Option<f64>,
@@ -105,28 +85,19 @@ struct ScaleOutcome {
     frames: u64,
     beacons: u64,
     events: u64,
-    shard_events: Vec<u64>,
-    barriers: u64,
-    mailbox_events: u64,
     wall: std::time::Duration,
 }
 
 /// Runs the scale sweep: for each mote count in `sizes`, `trials`
 /// independent lossless-grid scenarios of `sim_s` simulated seconds,
-/// fanned across `threads` workers and folded in spec order. `shards`
-/// selects the engine partitioning and `sim_threads` the intra-trial
-/// worker count for every trial; all deterministic outputs are
-/// byte-identical at any setting. `measure_wall` gates the
-/// sim-per-wall-second rate (per-trial CPU time, so thread fan-out does
-/// not inflate it).
-#[allow(clippy::too_many_arguments)]
+/// fanned across `threads` workers and folded in spec order. `measure_wall`
+/// gates the sim-per-wall-second rate (per-trial CPU time, so thread
+/// fan-out does not inflate it).
 pub fn fig_scale(
     sizes: &[usize],
     trials: u32,
     sim_s: u64,
     base_seed: u64,
-    shards: Shards,
-    sim_threads: SimThreads,
     threads: usize,
     measure_wall: bool,
 ) -> Vec<ScaleRow> {
@@ -137,9 +108,7 @@ pub fn fig_scale(
             TopologySpec::custom(Topology::grid(side, side), LossModel::perfect()),
             AgillaConfig::default(),
             base_seed,
-        )
-        .shards(shards)
-        .sim_threads(sim_threads);
+        );
         for t in 0..trials {
             let spec = fig_scale_scenario(&bed, sim_s, u64::from(t) * 786_433 + s as u64 * 97);
             items.push((s, side, spec));
@@ -156,9 +125,6 @@ pub fn fig_scale(
             frames: net.medium().frames_sent(),
             beacons: net.metrics().counter("radio.beacons"),
             events: net.events_dispatched(),
-            shard_events: net.shard_dispatch(),
-            barriers: net.engine_barriers(),
-            mailbox_events: net.engine_mailbox_events(),
             wall,
         }
     });
@@ -177,9 +143,6 @@ pub fn fig_scale(
                 frames: 0,
                 beacons: 0,
                 events: 0,
-                shard_events: Vec::new(),
-                barriers: 0,
-                mailbox_events: 0,
                 sim_per_wall_s: None,
             };
             let mut wall = std::time::Duration::ZERO;
@@ -193,14 +156,6 @@ pub fn fig_scale(
                 row.frames += o.frames;
                 row.beacons += o.beacons;
                 row.events += o.events;
-                if row.shard_events.len() < o.shard_events.len() {
-                    row.shard_events.resize(o.shard_events.len(), 0);
-                }
-                for (acc, d) in row.shard_events.iter_mut().zip(&o.shard_events) {
-                    *acc += d;
-                }
-                row.barriers += o.barriers;
-                row.mailbox_events += o.mailbox_events;
                 wall += o.wall;
             }
             if measure_wall && !wall.is_zero() {
@@ -212,65 +167,13 @@ pub fn fig_scale(
         .collect()
 }
 
-/// Formats a row's per-shard work distribution for the stderr engine
-/// report: each shard's share of dispatched events, plus the max/mean
-/// imbalance factor.
-pub fn shard_distribution_line(row: &ScaleRow) -> String {
-    let total: u64 = row.shard_events.iter().sum();
-    if total == 0 || row.shard_events.is_empty() {
-        return format!("{} motes: no events dispatched", row.motes);
-    }
-    let shares: Vec<String> = row
-        .shard_events
-        .iter()
-        .map(|&d| format!("{:.1}%", d as f64 * 100.0 / total as f64))
-        .collect();
-    let mean = total as f64 / row.shard_events.len() as f64;
-    let max = row.shard_events.iter().copied().max().unwrap_or(0) as f64;
-    format!(
-        "{} motes: {} shard(s), events per shard [{}], max/mean imbalance {:.2}, \
-         {} barriers, {} mailbox crossings",
-        row.motes,
-        row.shard_events.len(),
-        shares.join(", "),
-        max / mean,
-        row.barriers,
-        row.mailbox_events,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Strips the host-dependent fields, leaving the deterministic core.
-    fn deterministic(rows: &[ScaleRow]) -> Vec<(usize, u64, u64, u64, u64, u64)> {
-        rows.iter()
-            .map(|r| {
-                (
-                    r.motes,
-                    r.injected,
-                    r.migrations,
-                    r.frames,
-                    r.beacons,
-                    r.events,
-                )
-            })
-            .collect()
-    }
-
     #[test]
     fn fig_scale_runs_and_scales_event_counts_with_motes() {
-        let rows = fig_scale(
-            &[64, 256],
-            1,
-            3,
-            0x5CA1E,
-            Shards::Serial,
-            SimThreads::Serial,
-            1,
-            false,
-        );
+        let rows = fig_scale(&[64, 256], 1, 3, 0x5CA1E, 1, false);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].motes, 64);
         assert_eq!(rows[1].motes, 256);
@@ -280,69 +183,14 @@ mod tests {
             assert!(r.frames >= r.beacons);
             assert!(r.events > 0);
             assert!(r.sim_per_wall_s.is_none(), "wall timing was off");
-            assert_eq!(r.shard_events.iter().sum::<u64>(), r.events);
         }
         // 4x the motes means ~4x the beacon traffic.
         assert!(rows[1].beacons > 2 * rows[0].beacons);
     }
 
     #[test]
-    fn fig_scale_is_byte_identical_across_shard_counts_and_threads() {
-        let serial = fig_scale(
-            &[64, 100],
-            2,
-            3,
-            0xF00D,
-            Shards::Serial,
-            SimThreads::Serial,
-            1,
-            false,
-        );
-        for (shards, sim_threads, threads) in [
-            (Shards::Fixed(2), SimThreads::Serial, 2),
-            (Shards::Fixed(4), SimThreads::Serial, 1),
-            (Shards::Serial, SimThreads::Fixed(2), 1),
-            (Shards::Fixed(2), SimThreads::Fixed(4), 2),
-            (Shards::Fixed(4), SimThreads::Auto, 1),
-        ] {
-            let sharded = fig_scale(
-                &[64, 100],
-                2,
-                3,
-                0xF00D,
-                shards,
-                sim_threads,
-                threads,
-                false,
-            );
-            assert_eq!(
-                deterministic(&serial),
-                deterministic(&sharded),
-                "{shards:?} x {sim_threads:?} x {threads} threads diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_runs_report_a_distribution_over_every_shard() {
-        let rows = fig_scale(
-            &[100],
-            1,
-            3,
-            0xD157,
-            Shards::Fixed(4),
-            SimThreads::Serial,
-            1,
-            true,
-        );
-        assert_eq!(rows[0].shard_events.len(), 4);
-        assert!(rows[0].shard_events.iter().all(|&d| d > 0));
+    fn timed_runs_report_a_wall_rate() {
+        let rows = fig_scale(&[100], 1, 3, 0xD157, 1, true);
         assert!(rows[0].sim_per_wall_s.expect("wall timing on") > 0.0);
-        assert!(rows[0].barriers > 0, "sharded run opened barriers");
-        let line = shard_distribution_line(&rows[0]);
-        assert!(line.contains("4 shard(s)"), "{line}");
-        assert!(line.contains("imbalance"), "{line}");
-        assert!(line.contains("barriers"), "{line}");
-        assert!(line.contains("mailbox"), "{line}");
     }
 }

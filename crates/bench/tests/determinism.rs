@@ -7,10 +7,10 @@
 //! (reduced-trial) sweeps at 1 and several worker threads and compare the
 //! *complete* serialized results, including an energy-enabled family.
 
-use agilla::{AgillaConfig, Shards, SimThreads};
+use agilla::AgillaConfig;
 use agilla_bench::{
     fig11_one_hop, fig9_fig10, fig_energy_lifetime, fig_energy_per_op, fig_mix,
-    fig_mobile_crossing, fig_mobile_relay,
+    fig_mobile_crossing, fig_mobile_fire, fig_mobile_relay,
 };
 
 #[test]
@@ -33,8 +33,8 @@ fn fig11_sweep_identical_across_thread_counts() {
 fn energy_per_op_identical_across_thread_counts() {
     // Energy accounting exercises the fanout's per-receiver idle metering,
     // battery bookkeeping, and the line topology — all under threads.
-    let serial = format!("{:?}", fig_energy_per_op(2, 99, SimThreads::Serial, 1));
-    let parallel = format!("{:?}", fig_energy_per_op(2, 99, SimThreads::Fixed(2), 2));
+    let serial = format!("{:?}", fig_energy_per_op(2, 99, 1));
+    let parallel = format!("{:?}", fig_energy_per_op(2, 99, 2));
     assert_eq!(serial, parallel);
 }
 
@@ -53,42 +53,32 @@ fn fig_mix_sweep_identical_across_thread_counts() {
 
 #[test]
 fn fig_mobile_sweep_identical_across_every_parallelism_knob() {
-    // Mobility moves nodes *between* radio cells mid-trial — the exact
-    // operation that could desynchronize the sharded timeline's cell-run
-    // assignment or a per-node RNG substream. Sweep two families across
-    // executor threads, spatial shards, and intra-trial workers at once.
-    let serial_cfg = AgillaConfig::default();
-    let knobs_cfg = AgillaConfig {
-        shards: Shards::Fixed(2),
-        sim_threads: SimThreads::Fixed(2),
-        ..AgillaConfig::default()
+    // Mobility moves nodes *between* radio cells mid-trial — the operation
+    // that could desynchronize a per-node RNG substream. Sweep all three
+    // families across executor threads.
+    let config = AgillaConfig::default();
+    let run = |threads: usize| {
+        format!(
+            "{:?} {:?} {:?}",
+            fig_mobile_crossing(2, 21, &config, threads),
+            fig_mobile_relay(2, 21, &config, threads),
+            fig_mobile_fire(1, 21, &config, threads),
+        )
     };
-    let serial = format!(
-        "{:?} {:?}",
-        fig_mobile_crossing(2, 21, &serial_cfg, 1),
-        fig_mobile_relay(2, 21, &serial_cfg, 1),
-    );
-    let knobs = format!(
-        "{:?} {:?}",
-        fig_mobile_crossing(2, 21, &knobs_cfg, 2),
-        fig_mobile_relay(2, 21, &knobs_cfg, 2),
-    );
-    assert_eq!(
-        serial, knobs,
-        "fig_mobile diverged under shards/sim-threads"
-    );
+    let serial = run(1);
+    for threads in [2, 4] {
+        assert_eq!(
+            serial,
+            run(threads),
+            "fig_mobile diverged at {threads} threads"
+        );
+    }
 }
 
 #[test]
 fn energy_lifetime_sweep_identical_across_thread_counts() {
     let intervals = [None, Some(100u64)];
-    let serial = format!(
-        "{:?}",
-        fig_energy_lifetime(&intervals, 0.4, 200, 17, SimThreads::Serial, 1)
-    );
-    let parallel = format!(
-        "{:?}",
-        fig_energy_lifetime(&intervals, 0.4, 200, 17, SimThreads::Fixed(2), 2)
-    );
+    let serial = format!("{:?}", fig_energy_lifetime(&intervals, 0.4, 200, 17, 1));
+    let parallel = format!("{:?}", fig_energy_lifetime(&intervals, 0.4, 200, 17, 2));
     assert_eq!(serial, parallel);
 }

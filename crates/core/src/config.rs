@@ -17,84 +17,6 @@ pub const E2E_ACK_TIMEOUT_FACTOR: u64 = 5;
 /// paper's grid there are at most 3 alternates anyway.
 pub const MAX_HOP_FAILOVERS: usize = 3;
 
-/// How many spatial shards the event timeline is partitioned into.
-///
-/// Sharding splits the network's single calendar queue into per-region
-/// queues (grid cells sized by the radio range, see
-/// [`Topology::shard_map`](wsn_radio::Topology::shard_map)) merged back
-/// into one deterministic timeline by
-/// [`ShardedQueue`](wsn_sim::ShardedQueue). The merge is *exact*: figure
-/// output is byte-identical at every shard count, so this knob only
-/// changes working-set locality and the per-shard work accounting that
-/// `fig_scale` reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Shards {
-    /// One global queue — the exact pre-sharding code path (default).
-    #[default]
-    Serial,
-    /// One shard per occupied grid cell, capped by the host's available
-    /// parallelism. The resolved count never affects any output, so the
-    /// host dependence is harmless.
-    Auto,
-    /// Exactly `N` shards (clamped to the occupied cell count, min 1).
-    Fixed(u32),
-}
-
-impl Shards {
-    /// Resolves the knob against the topology's occupied cell count.
-    pub fn resolve(self, num_cells: usize) -> usize {
-        let cells = num_cells.max(1);
-        match self {
-            Shards::Serial => 1,
-            Shards::Auto => {
-                let par = std::thread::available_parallelism().map_or(1, |n| n.get());
-                par.min(cells)
-            }
-            Shards::Fixed(n) => (n as usize).clamp(1, cells),
-        }
-    }
-}
-
-/// How many worker threads execute *inside* one trial.
-///
-/// This is intra-trial parallelism, orthogonal to the bench harness's
-/// inter-trial `--threads`: it drives the parallel mote-construction path
-/// of large fields and the scoped-thread shard workers of
-/// [`ParallelShardedEngine`](wsn_sim::ParallelShardedEngine)-style
-/// execution. Because every per-node random stream is a substream keyed by
-/// the node id (see the RNG scheme on
-/// [`AgillaNetwork`](crate::AgillaNetwork)), the thread count never
-/// affects any output — figures are byte-identical at every setting, so
-/// this is purely a wall-clock knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimThreads {
-    /// Single-threaded trial execution — the exact historical code path
-    /// (default).
-    #[default]
-    Serial,
-    /// One worker per core, capped by the work available (node count or
-    /// shard count, whichever the site parallelizes over).
-    Auto,
-    /// Exactly `N` workers (clamped to the available work, min 1).
-    Fixed(u32),
-}
-
-impl SimThreads {
-    /// Resolves the knob against the number of parallelizable work units
-    /// (nodes for construction, shards for the threaded engine).
-    pub fn resolve(self, work_units: usize) -> usize {
-        let units = work_units.max(1);
-        match self {
-            SimThreads::Serial => 1,
-            SimThreads::Auto => {
-                let par = std::thread::available_parallelism().map_or(1, |n| n.get());
-                par.min(units)
-            }
-            SimThreads::Fixed(n) => (n as usize).clamp(1, units),
-        }
-    }
-}
-
 /// Protocol and resource parameters of an Agilla node.
 ///
 /// Defaults are the paper's published values; the ablation benches sweep the
@@ -164,17 +86,6 @@ pub struct AgillaConfig {
     /// figure is byte-identical with it on; `false` restores the paper's
     /// accept-anything behaviour for the fault-injection benches.
     pub verify_on_inject: bool,
-    /// Spatial event-queue sharding (see [`Shards`]). [`Shards::Serial`]
-    /// by default: one global queue, the exact historical code path.
-    /// Sharded runs produce byte-identical output — the merge order is
-    /// exact — so this is purely a scale/locality knob.
-    pub shards: Shards,
-    /// Intra-trial worker threads (see [`SimThreads`]).
-    /// [`SimThreads::Serial`] by default. Output-neutral at any setting —
-    /// the per-node RNG substream scheme makes draw order independent of
-    /// how work is spread across threads — so this only trades wall-clock
-    /// time for cores.
-    pub sim_threads: SimThreads,
     /// Timing constants for protocol-layer software costs.
     pub timing: TimingModel,
     /// Energy accounting and duty-cycling; disabled by default, in which
@@ -246,8 +157,6 @@ impl Default for AgillaConfig {
             hop_by_hop_migration: true,
             hop_failover: false,
             verify_on_inject: true,
-            shards: Shards::Serial,
-            sim_threads: SimThreads::Serial,
             timing: TimingModel::mica2(),
             energy: EnergyConfig::default(),
         }
@@ -407,38 +316,8 @@ mod tests {
         assert!(c.hop_by_hop_migration);
         assert!(!c.hop_failover, "single-candidate greedy, as evaluated");
         assert!(c.verify_on_inject, "bad bytecode is refused at injection");
-        assert_eq!(c.shards, Shards::Serial, "one global queue unless asked");
-        assert_eq!(
-            c.sim_threads,
-            SimThreads::Serial,
-            "single-threaded trials unless asked"
-        );
         assert!(!c.energy.enabled, "no meters unless asked");
         assert!(c.energy.lpl_check_interval.is_none());
-    }
-
-    #[test]
-    fn shards_resolve_clamps_to_occupied_cells() {
-        assert_eq!(Shards::Serial.resolve(64), 1);
-        assert_eq!(Shards::Fixed(4).resolve(64), 4);
-        assert_eq!(Shards::Fixed(4).resolve(2), 2, "capped by cells");
-        assert_eq!(Shards::Fixed(0).resolve(64), 1, "never zero");
-        assert_eq!(Shards::Fixed(9).resolve(0), 1, "empty topology");
-        let auto = Shards::Auto.resolve(64);
-        assert!((1..=64).contains(&auto));
-        assert_eq!(Shards::Auto.resolve(1), 1);
-    }
-
-    #[test]
-    fn sim_threads_resolve_clamps_to_work_units() {
-        assert_eq!(SimThreads::Serial.resolve(64), 1);
-        assert_eq!(SimThreads::Fixed(4).resolve(64), 4);
-        assert_eq!(SimThreads::Fixed(4).resolve(2), 2, "capped by work");
-        assert_eq!(SimThreads::Fixed(0).resolve(64), 1, "never zero");
-        assert_eq!(SimThreads::Fixed(9).resolve(0), 1, "empty field");
-        let auto = SimThreads::Auto.resolve(64);
-        assert!((1..=64).contains(&auto));
-        assert_eq!(SimThreads::Auto.resolve(1), 1);
     }
 
     #[test]

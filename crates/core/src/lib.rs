@@ -66,7 +66,7 @@ pub use agilla_analysis::CostBounds;
 pub use agilla_tenancy::{
     Allocator, AppId, AppProfile, AppQuota, Decision, Priority, QuotaError, QuotaLedger,
 };
-pub use config::{AgillaConfig, EnergyConfig, Shards, SimThreads, TimingModel};
+pub use config::{AgillaConfig, EnergyConfig, TimingModel};
 pub use env::{Environment, FieldModel, FireModel};
 pub use error::{AdmissionReason, AgillaError};
 pub use memory::MemoryModel;

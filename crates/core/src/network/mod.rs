@@ -35,10 +35,7 @@ use wsn_radio::{
     DeliveryOutcome, EnergyLedger, EnergyMeter, EnergyState, Frame, GilbertElliott, LossModel,
     Medium, Motion, MotionPlan, Topology,
 };
-use wsn_sim::{
-    CounterId, EventQueue, Metrics, RngStream, ShardEventId, ShardedQueue, SimDuration, SimTime,
-    Tracer,
-};
+use wsn_sim::{CounterId, EventQueue, Metrics, RngStream, SimDuration, SimTime, Tracer};
 
 use crate::config::AgillaConfig;
 use crate::env::Environment;
@@ -80,175 +77,6 @@ enum Event {
     /// [`AgillaNetwork::set_motion`]). Never scheduled when every node is
     /// static, so pre-mobility timelines are untouched event for event.
     MotionTick { node: NodeId },
-}
-
-impl Event {
-    /// The node whose spatial shard owns this event. Timers and engine
-    /// steps belong to the node they fire on; a frame fanout belongs to
-    /// the *transmitter's* shard — its receivers are processed inline in
-    /// deterministic neighbor order (the order that drives the medium's
-    /// loss draws), so splitting it per receiver would reorder RNG
-    /// consumption and break byte-identity.
-    fn owner(&self) -> NodeId {
-        match self {
-            Event::EngineInstr { node }
-            | Event::TxReady { node }
-            | Event::Beacon { node }
-            | Event::AgentWake { node, .. }
-            | Event::MigRetx { node, .. }
-            | Event::MigAbort { node, .. }
-            | Event::RemoteTimeout { node, .. }
-            | Event::MotionTick { node } => *node,
-            Event::RxFanout { frame, .. } => frame.src,
-        }
-    }
-}
-
-/// Builds `n` values of `f(i)`, fanning the index range across `threads`
-/// scoped workers when the field is large enough to amortize thread spawn.
-/// `f` must be a pure function of its index; results are reassembled in
-/// index order, so output is identical at any thread count — which keeps
-/// the determinism contract intact while large fields construct their
-/// mote state on all cores.
-fn build_parallel<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    /// Below this many items, thread spawn costs more than it saves.
-    const MIN_PARALLEL_BUILD: usize = 4096;
-    if threads <= 1 || n < MIN_PARALLEL_BUILD {
-        return (0..n).map(f).collect();
-    }
-    let workers = threads.min(n);
-    let chunk = n.div_ceil(workers);
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                let lo = w * chunk;
-                let hi = n.min(lo + chunk);
-                s.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("mote builder worker panicked"));
-        }
-    });
-    out
-}
-
-/// The network's event timeline: one global calendar queue
-/// ([`crate::Shards::Serial`] — the exact historical code path, byte for
-/// byte), or spatial per-shard queues behind [`ShardedQueue`]'s exact
-/// deterministic merge. Every method mirrors [`EventQueue`]'s contract, so
-/// the dispatch loop is oblivious to which variant it drives; timer handles
-/// are [`ShardEventId`]s in both (the serial queue wraps its ids with
-/// [`ShardEventId::solo`]).
-#[derive(Debug)]
-enum NetQueue {
-    /// The single global queue.
-    Single(EventQueue<Event>),
-    /// Per-shard queues plus the cell-run shard assignment of every node
-    /// (see [`Topology::shard_map`]).
-    Sharded {
-        q: ShardedQueue<Event>,
-        shard_of: Vec<usize>,
-    },
-}
-
-impl NetQueue {
-    /// Builds the timeline: serial for `shards <= 1`, sharded otherwise.
-    /// The lookahead window is the minimum frame air time — within one
-    /// window no transmission started in one shard can land in another.
-    fn new(shards: usize, shard_of: Vec<usize>) -> Self {
-        if shards <= 1 {
-            NetQueue::Single(EventQueue::new())
-        } else {
-            NetQueue::Sharded {
-                q: ShardedQueue::new(shards, Frame::min_air_time()),
-                shard_of,
-            }
-        }
-    }
-
-    fn schedule(&mut self, at: SimTime, ev: Event) -> ShardEventId {
-        match self {
-            NetQueue::Single(q) => ShardEventId::solo(q.schedule(at, ev)),
-            NetQueue::Sharded { q, shard_of } => {
-                let shard = shard_of[ev.owner().index()];
-                q.schedule(shard, at, ev)
-            }
-        }
-    }
-
-    fn cancel(&mut self, id: ShardEventId) -> bool {
-        match self {
-            NetQueue::Single(q) => q.cancel(id.id()),
-            NetQueue::Sharded { q, .. } => q.cancel(id),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match self {
-            NetQueue::Single(q) => q.pop(),
-            NetQueue::Sharded { q, .. } => q.pop(),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            NetQueue::Single(q) => q.peek_time(),
-            NetQueue::Sharded { q, .. } => q.peek_time(),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            NetQueue::Single(q) => q.now(),
-            NetQueue::Sharded { q, .. } => q.now(),
-        }
-    }
-
-    fn num_shards(&self) -> usize {
-        match self {
-            NetQueue::Single(_) => 1,
-            NetQueue::Sharded { q, .. } => q.num_shards(),
-        }
-    }
-
-    fn dispatched_per_shard(&self) -> Vec<u64> {
-        match self {
-            NetQueue::Single(q) => vec![q.dispatched()],
-            NetQueue::Sharded { q, .. } => q.dispatched_per_shard(),
-        }
-    }
-
-    fn dispatched(&self) -> u64 {
-        match self {
-            NetQueue::Single(q) => q.dispatched(),
-            NetQueue::Sharded { q, .. } => q.dispatched(),
-        }
-    }
-
-    /// Merge-window re-anchors — the barrier count a threaded engine
-    /// would pay. Zero on the serial path (one queue, no windows).
-    fn barriers(&self) -> u64 {
-        match self {
-            NetQueue::Single(_) => 0,
-            NetQueue::Sharded { q, .. } => q.barriers(),
-        }
-    }
-
-    /// Cross-shard schedules — mailbox traffic at shard boundaries. Zero
-    /// on the serial path.
-    fn mailbox_events(&self) -> u64 {
-        match self {
-            NetQueue::Single(_) => 0,
-            NetQueue::Sharded { q, .. } => q.mailbox_events(),
-        }
-    }
 }
 
 /// What one engine unit did (see [`AgillaNetwork::engine_step`]).
@@ -321,9 +149,8 @@ impl NetCounters {
 /// ([`AgillaNetwork::register_app`]).
 ///
 /// Tenancy decisions (quota checks, preemption victim choice, byte
-/// attribution) read only state mutated by dispatched events, and the
-/// sharded timeline replays the exact serial event order, so every
-/// decision is byte-identical across `--shards` settings.
+/// attribution) read only state mutated by dispatched events, so every
+/// decision is a deterministic function of the event order.
 #[derive(Debug, Default)]
 struct Tenancy {
     /// Registered applications, by id (`BTreeMap` iteration keeps every
@@ -415,9 +242,8 @@ impl Tenancy {
 /// [`AgillaNetwork::set_motion`] installs a non-static plan.
 ///
 /// Positions are a pure function of elapsed time (never integrated state),
-/// so a tick that replays in a different shard interleaving lands the mote
-/// on exactly the same cell — the property that keeps sharded timelines
-/// byte-identical under motion.
+/// so a tick lands the mote on the same cell however ticks interleave with
+/// other events.
 #[derive(Debug, Default)]
 struct MotionState {
     /// Time between position advances (meaningless while `paths` is empty).
@@ -441,7 +267,7 @@ impl MotionState {
 pub struct AgillaNetwork {
     config: AgillaConfig,
     env: Environment,
-    queue: NetQueue,
+    queue: EventQueue<Event>,
     medium: Medium,
     nodes: Vec<Node>,
     tracer: Tracer,
@@ -451,9 +277,8 @@ pub struct AgillaNetwork {
     mac: CsmaMac,
     /// Per-node RNG substreams (`derive(seed, name).substream(node)`): MAC
     /// backoff/jitter, VM `random()`, and sensor noise. Each node's draw
-    /// order is a function of its own event order alone, so cross-node (and
-    /// cross-shard) event interleaving cannot change any outcome — the
-    /// property the threaded engine relies on.
+    /// order is a function of its own event order alone, so cross-node
+    /// event interleaving cannot change any outcome.
     rng_mac: Vec<RngStream>,
     rng_vm: Vec<RngStream>,
     rng_env: Vec<RngStream>,
@@ -484,14 +309,6 @@ impl AgillaNetwork {
         // LPL stretches every preamble; widen the protocol timeouts to
         // match (identity when LPL is off).
         let config = config.lpl_adjusted();
-        // Resolve the sharding knob against the topology's occupied radio
-        // cells before the medium takes ownership of it.
-        let shards = config.shards.resolve(topology.num_cells());
-        let shard_of = if shards > 1 {
-            topology.shard_map(shards)
-        } else {
-            Vec::new()
-        };
         let mut medium = Medium::new(topology, loss, seed);
         let mac_config = match config.energy.lpl_check_interval {
             Some(interval) if config.energy.enabled => MacConfig::mica2_lpl(interval),
@@ -506,35 +323,33 @@ impl AgillaNetwork {
             }
         }
         let n = medium.topology().len();
-        let sim_threads = config.sim_threads.resolve(n);
-        // Per-node state is a pure function of (id, topology, config, env),
-        // so large fields build their motes on worker threads with no
-        // observable difference from the serial path. This also folds what
-        // used to be two extra boot passes (acquaintance seeding and
-        // capability tuples) — and a full topology clone — into one pass.
+        // Per-node state (acquaintances, capability tuples) is a pure
+        // function of (id, topology, config, env), built in one pass.
         let sensors: Vec<SensorType> = env.sensors().collect();
-        let nodes: Vec<Node> = build_parallel(n, sim_threads, |i| {
-            let id = NodeId(i as u16);
-            let topo = medium.topology();
-            let mut node = Node::new(id, topo.location(id), &config);
-            // The testbed has been up long enough for neighbor discovery to
-            // have converged; seed the acquaintance lists, then let beacons
-            // keep them fresh (a node that dies would age out naturally).
-            for nb in topo.neighbors(id) {
-                node.acq.heard(nb, topo.location(nb), SimTime::ZERO);
-            }
-            // Capability tuples: "Agilla places special tuples into each
-            // node's tuple space indicating what type of sensors are
-            // available".
-            for s in &sensors {
-                let t = Tuple::new(vec![agilla_tuplespace::Field::SensorType(*s)])
-                    .expect("capability tuple");
-                node.space
-                    .out(t)
-                    .expect("capability tuple fits an empty space");
-            }
-            node
-        });
+        let nodes: Vec<Node> = (0..n)
+            .map(|i| {
+                let id = NodeId(i as u16);
+                let topo = medium.topology();
+                let mut node = Node::new(id, topo.location(id), &config);
+                // The testbed has been up long enough for neighbor discovery to
+                // have converged; seed the acquaintance lists, then let beacons
+                // keep them fresh (a node that dies would age out naturally).
+                for nb in topo.neighbors(id) {
+                    node.acq.heard(nb, topo.location(nb), SimTime::ZERO);
+                }
+                // Capability tuples: "Agilla places special tuples into each
+                // node's tuple space indicating what type of sensors are
+                // available".
+                for s in &sensors {
+                    let t = Tuple::new(vec![agilla_tuplespace::Field::SensorType(*s)])
+                        .expect("capability tuple");
+                    node.space
+                        .out(t)
+                        .expect("capability tuple fits an empty space");
+                }
+                node
+            })
+            .collect();
         let derive_all = |name: &str| -> Vec<RngStream> {
             let root = RngStream::derive(seed, name);
             (0..n).map(|i| root.substream(i as u64)).collect()
@@ -544,7 +359,7 @@ impl AgillaNetwork {
         let mut net = AgillaNetwork {
             config,
             env,
-            queue: NetQueue::new(shards, shard_of),
+            queue: EventQueue::new(),
             medium,
             nodes,
             tracer: Tracer::new(),
@@ -632,15 +447,6 @@ impl AgillaNetwork {
             self.dispatch(at, ev, deadline);
         }
         self.clock = self.clock.max(deadline);
-        // Engine observability: expose the sharded timeline's barrier and
-        // mailbox totals as metrics. Both are deterministic for a given
-        // shard count (and identically zero when serial), so they are safe
-        // next to the regular counters.
-        if self.queue.num_shards() > 1 {
-            self.metrics.set("engine.barriers", self.queue.barriers());
-            self.metrics
-                .set("engine.mailbox_events", self.queue.mailbox_events());
-        }
     }
 
     /// Runs the simulation for `d` from the current time.
@@ -1156,33 +962,9 @@ impl AgillaNetwork {
         &self.medium
     }
 
-    /// How many spatial shards the event timeline runs on (1 = serial).
-    pub fn num_shards(&self) -> usize {
-        self.queue.num_shards()
-    }
-
-    /// Events dispatched so far, per shard — the work-distribution report
-    /// behind `fig_scale`. A single entry when the timeline is serial.
-    pub fn shard_dispatch(&self) -> Vec<u64> {
-        self.queue.dispatched_per_shard()
-    }
-
-    /// Total events dispatched across every shard since construction.
+    /// Total events dispatched since construction.
     pub fn events_dispatched(&self) -> u64 {
         self.queue.dispatched()
-    }
-
-    /// Synchronization barriers the sharded timeline has paid so far
-    /// (merge-window re-anchors); 0 on the serial path. Deterministic:
-    /// purely a function of the event timeline, never of the host.
-    pub fn engine_barriers(&self) -> u64 {
-        self.queue.barriers()
-    }
-
-    /// Events that crossed a shard boundary so far (scheduled by one
-    /// shard's handler onto another shard); 0 on the serial path.
-    pub fn engine_mailbox_events(&self) -> u64 {
-        self.queue.mailbox_events()
     }
 
     /// The middleware configuration.
@@ -2096,28 +1878,5 @@ impl Host for HostView<'_> {
 
     fn deregister_reaction(&mut self, owner: AgentId, template: &Template) -> bool {
         self.registry.deregister(owner, template).is_some()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::build_parallel;
-
-    #[test]
-    fn build_parallel_is_index_ordered_at_any_thread_count() {
-        // Large enough to clear the spawn threshold, with a function whose
-        // output encodes its index, so any reordering or chunk misjoin is
-        // visible.
-        let n = 5_000;
-        let f = |i: usize| i.wrapping_mul(0x9E37_79B9) ^ (i >> 3);
-        let serial: Vec<usize> = build_parallel(n, 1, f);
-        for threads in [2, 3, 4, 7] {
-            assert_eq!(serial, build_parallel(n, threads, f), "{threads} threads");
-        }
-        assert_eq!(serial.len(), n);
-        assert_eq!(serial[17], f(17));
-        // More workers than items still covers every index exactly once.
-        assert_eq!(build_parallel(3, 8, f), vec![f(0), f(1), f(2)]);
-        assert_eq!(build_parallel(0, 4, f), Vec::<usize>::new());
     }
 }

@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 
 use wsn_common::NodeId;
-use wsn_sim::{ShardEventId, SimDuration, SimTime};
+use wsn_sim::{EventId, SimDuration, SimTime};
 
 /// Candidate failover for a reliable session whose retransmission budget
 /// toward one next hop is exhausted: records the hop as tried, enforces the
@@ -98,7 +98,7 @@ pub struct RetxState {
     /// Timeouts of the current in-flight message so far.
     tries: u32,
     /// The pending retransmit/timeout timer, if armed.
-    timer: Option<ShardEventId>,
+    timer: Option<EventId>,
     /// Whether any message of this exchange was ever retransmitted (the
     /// first-attempt latency filter for Fig. 10).
     retransmitted: bool,
@@ -112,14 +112,14 @@ impl RetxState {
 
     /// Arms the retransmit timer for the in-flight message. The previous
     /// timer, if any, must have fired or been cancelled already.
-    pub fn arm(&mut self, timer: ShardEventId) {
+    pub fn arm(&mut self, timer: EventId) {
         self.timer = Some(timer);
     }
 
     /// The in-flight message was acknowledged: the per-message try counter
     /// resets and the pending timer (returned for cancellation) is disarmed.
     #[must_use = "cancel the returned timer on the event queue"]
-    pub fn acked(&mut self) -> Option<ShardEventId> {
+    pub fn acked(&mut self) -> Option<EventId> {
         self.tries = 0;
         self.timer.take()
     }
@@ -127,7 +127,7 @@ impl RetxState {
     /// Disarms without resetting (session teardown). Returns the timer to
     /// cancel, if one was armed.
     #[must_use = "cancel the returned timer on the event queue"]
-    pub fn take_timer(&mut self) -> Option<ShardEventId> {
+    pub fn take_timer(&mut self) -> Option<EventId> {
         self.timer.take()
     }
 

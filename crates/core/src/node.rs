@@ -7,7 +7,7 @@ use agilla_vm::AgentState;
 use wsn_common::{AgentId, Location, NodeId};
 use wsn_net::AcquaintanceList;
 use wsn_radio::Frame;
-use wsn_sim::{ShardEventId, SimDuration, SimTime};
+use wsn_sim::{EventId, SimDuration, SimTime};
 
 use crate::config::AgillaConfig;
 use crate::migration::{MigrationImage, ReassemblyBuffer};
@@ -104,7 +104,7 @@ pub struct ReceiverSession {
     /// Last time a new fragment arrived (watchdog reference).
     pub last_progress: SimTime,
     /// The pending abort-check timer.
-    pub abort_timer: Option<ShardEventId>,
+    pub abort_timer: Option<EventId>,
 }
 
 /// Initiator-side state of a pending remote tuple-space operation.

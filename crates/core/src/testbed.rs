@@ -243,25 +243,6 @@ impl TrialSpec {
         self
     }
 
-    /// Sets the spatial event-queue sharding knob (see [`crate::Shards`]).
-    /// Every output is byte-identical at any setting — sharding is a
-    /// scale/locality knob, not a semantic one.
-    #[must_use]
-    pub fn shards(mut self, shards: crate::Shards) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Sets the intra-trial worker-thread knob (see [`crate::SimThreads`]).
-    /// Threads only parallelise construction-time work and the
-    /// [`wsn_sim::ParallelShardedEngine`] substrate; every figure is
-    /// byte-identical at any setting.
-    #[must_use]
-    pub fn sim_threads(mut self, threads: crate::SimThreads) -> Self {
-        self.config.sim_threads = threads;
-        self
-    }
-
     /// Constructs the network without running any steps — for scenarios
     /// that need custom driving (stepped sampling, early exit on a
     /// predicate) on top of the standard substrate.
@@ -572,24 +553,6 @@ impl Testbed {
     /// The shared middleware configuration.
     pub fn config(&self) -> &AgillaConfig {
         &self.config
-    }
-
-    /// Sets the spatial event-queue sharding knob for every trial this
-    /// testbed mints (see [`crate::Shards`]). Byte-identical output at any
-    /// setting.
-    #[must_use]
-    pub fn shards(mut self, shards: crate::Shards) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Sets the intra-trial worker-thread knob for every trial this
-    /// testbed mints (see [`crate::SimThreads`]). Byte-identical output at
-    /// any setting.
-    #[must_use]
-    pub fn sim_threads(mut self, threads: crate::SimThreads) -> Self {
-        self.config.sim_threads = threads;
-        self
     }
 
     /// Mints a [`TrialSpec`] with seed `base_seed ^ seed_mix` and no steps.

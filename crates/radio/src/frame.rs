@@ -55,15 +55,6 @@ impl Frame {
         SimDuration::from_micros(mica2::air_time_us(self.payload.len()))
     }
 
-    /// The air time of the shortest possible frame (empty payload — pure
-    /// preamble and header overhead). No frame can cross the medium faster,
-    /// which makes this the conservative lookahead window for synchronizing
-    /// spatially sharded event queues: within one such window, no
-    /// transmission started in one shard can become visible in another.
-    pub fn min_air_time() -> SimDuration {
-        SimDuration::from_micros(mica2::air_time_us(0))
-    }
-
     /// Total bits on the air, the exposure used by BER loss models.
     pub fn on_air_bits(&self) -> u64 {
         mica2::on_air_bits(self.payload.len())
@@ -111,15 +102,6 @@ mod tests {
         let large = Frame::broadcast(NodeId(0), vec![0; 27]);
         assert!(large.air_time() > small.air_time());
         assert!(large.on_air_bits() > small.on_air_bits());
-    }
-
-    #[test]
-    fn min_air_time_bounds_every_frame_from_below() {
-        assert!(Frame::min_air_time() > SimDuration::ZERO);
-        for len in [0usize, 1, 22, 27, 200] {
-            let f = Frame::broadcast(NodeId(0), vec![0; len]);
-            assert!(f.air_time() >= Frame::min_air_time(), "payload {len}");
-        }
     }
 
     #[test]

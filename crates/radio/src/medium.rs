@@ -69,8 +69,7 @@ pub struct Medium {
     /// transmission makes (burst-channel advance and per-receiver loss
     /// chances) comes from the transmitter's own stream, so draw order
     /// depends only on that node's transmission order — never on how
-    /// events from different nodes interleave globally. This is what lets
-    /// shard event loops run concurrently without perturbing outcomes.
+    /// events from different nodes interleave globally.
     rng: Vec<RngStream>,
     /// Per directed link (src, dst): burst channel state.
     burst_state: HashMap<(NodeId, NodeId), GilbertElliott>,

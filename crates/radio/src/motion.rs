@@ -4,8 +4,8 @@
 //! of elapsed time* from its boot origin — there is no incremental
 //! integration state, so replaying the same model at the same instants
 //! always lands on the same coordinates regardless of how the simulation's
-//! ticks were scheduled or sharded. The network layer samples the model on
-//! a fixed tick and moves the mote through
+//! ticks were scheduled. The network layer samples the model on a fixed
+//! tick and moves the mote through
 //! [`Topology::move_node`](crate::Topology::move_node) whenever the
 //! quantized grid position changes; the channel then sees the new
 //! inter-node distances on the very next transmission.

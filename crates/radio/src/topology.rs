@@ -19,9 +19,7 @@ pub enum Connectivity {
 /// radio range, so any neighbor of a node lives in the 3×3 cell
 /// neighborhood around it (the node's own cell plus the cross-cell fringe).
 /// This is what keeps neighbor queries O(local density) instead of O(N) —
-/// the difference between a 26-mote desk and a 10k-mote city block — and it
-/// doubles as the spatial partition the sharded engine assigns cells to
-/// shards from.
+/// the difference between a 26-mote desk and a 10k-mote city block.
 #[derive(Debug, Clone)]
 struct CellGrid {
     /// Cell edge length in grid units (at least 1; ≥ the max radio range).
@@ -362,38 +360,6 @@ impl Topology {
         out
     }
 
-    /// Number of non-empty cells in the spatial index — the finest spatial
-    /// partition the sharded engine can split this topology into.
-    pub fn num_cells(&self) -> usize {
-        self.grid.members.iter().filter(|m| !m.is_empty()).count()
-    }
-
-    /// Assigns every node to one of `shards` spatial shards and returns the
-    /// per-node shard index (indexed by `NodeId::index`).
-    ///
-    /// Cells are walked in row-major order and grouped into contiguous runs
-    /// balanced by node count, so each shard is a spatially compact band
-    /// and cross-shard radio traffic happens only along band borders. The
-    /// assignment is a pure function of the topology — identical on every
-    /// host and at every thread count.
-    pub fn shard_map(&self, shards: usize) -> Vec<usize> {
-        let shards = shards.max(1);
-        let total = self.grid.members.iter().map(Vec::len).sum::<usize>();
-        let mut out = vec![0usize; self.len()];
-        let mut assigned = 0usize;
-        let mut shard = 0usize;
-        for cell in &self.grid.members {
-            while shard < shards - 1 && assigned >= (shard + 1) * total / shards {
-                shard += 1;
-            }
-            for &n in cell {
-                out[n.index()] = shard;
-            }
-            assigned += cell.len();
-        }
-        out
-    }
-
     /// Minimum hop count between two nodes (BFS over the neighbor relation),
     /// or `None` if disconnected. Used by tests and the bench harness to
     /// label experiments by hop distance.
@@ -681,41 +647,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shard_map_is_balanced_and_contiguous() {
-        let t = Topology::grid(8, 8);
-        let map = t.shard_map(4);
-        assert_eq!(map.len(), 64);
-        for s in 0..4 {
-            let count = map.iter().filter(|&&m| m == s).count();
-            assert_eq!(count, 16, "shard {s} holds {count} of 64 nodes");
-        }
-        // Row-major cell walk ⇒ shard index is monotone in node id for a
-        // plain grid (ids are row-major too).
-        let mut sorted = map.clone();
-        sorted.sort_unstable();
-        assert_eq!(map, sorted);
-        // One shard degenerates to everything-in-shard-0.
-        assert!(t.shard_map(1).iter().all(|&s| s == 0));
-        // More shards than cells still yields a full, in-range assignment.
-        assert!(t.shard_map(1000).iter().all(|&s| s < 1000));
-    }
-
-    #[test]
-    fn num_cells_counts_occupied_cells() {
-        assert_eq!(Topology::grid(3, 3).num_cells(), 9);
-        let t = Topology::new(
-            vec![
-                Location::new(0, 0),
-                Location::new(3, 4),
-                Location::new(10, 0),
-            ],
-            Connectivity::Range(6.0),
-        );
-        // 6-unit cells: (0,0) and (3,4) share cell (0,0); (10,0) is in (1,0).
-        assert_eq!(t.num_cells(), 2);
-    }
-
     proptest! {
         #[test]
         fn prop_grid_neighbors_match_full_scan(
@@ -756,25 +687,6 @@ mod tests {
             let t = Topology::new(positions, Connectivity::Range(f64::from(radius)));
             for node in t.nodes() {
                 prop_assert_eq!(t.neighbors(node), neighbors_full_scan(&t, node));
-            }
-        }
-
-        #[test]
-        fn prop_shard_map_covers_every_node(w in 2i16..7, h in 2i16..7, k in 1usize..9) {
-            let t = Topology::grid(w, h);
-            let map = t.shard_map(k);
-            prop_assert_eq!(map.len(), t.len());
-            for &s in &map {
-                prop_assert!(s < k);
-            }
-            // Balanced within one cell's worth of slack per boundary.
-            let total = t.len();
-            for s in 0..k {
-                let got = map.iter().filter(|&&m| m == s).count();
-                prop_assert!(
-                    got <= total / k + (total % k) + 1 + t.len() / t.num_cells(),
-                    "shard {} holds {} of {}", s, got, total
-                );
             }
         }
 

@@ -117,24 +117,4 @@ proptest! {
             topo.nodes().map(|node| topo.neighbors(node)).collect();
         prop_assert_eq!(before, after);
     }
-
-    /// The spatial shard assignment stays a total, in-range map while
-    /// motes move between cells — what the sharded engine leans on when it
-    /// re-resolves a mover's shard.
-    #[test]
-    fn shard_map_stays_total_and_in_range_under_motion(
-        boot in positions(),
-        radius in 1.0f64..3.0,
-        script in moves(),
-        shards in 1usize..=4,
-    ) {
-        let n = boot.len();
-        let mut topo = Topology::new(boot, Connectivity::Range(radius));
-        for (pick, x, y) in script {
-            topo.move_node(NodeId((pick % n) as u16), Location::new(x, y));
-            let map = topo.shard_map(shards);
-            prop_assert_eq!(map.len(), topo.len());
-            prop_assert!(map.iter().all(|&s| s < shards));
-        }
-    }
 }

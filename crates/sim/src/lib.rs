@@ -13,15 +13,6 @@
 //!   is exact for the paper's measurements).
 //! * [`EventQueue`] — a cancellable priority queue with deterministic FIFO
 //!   tie-breaking for simultaneous events.
-//! * [`ShardedQueue`] — K per-shard [`EventQueue`]s behind an exact
-//!   deterministic merge with a conservative lookahead window, so one giant
-//!   scenario can partition its timeline spatially without changing a single
-//!   pop relative to the unsharded queue.
-//! * [`ParallelShardedEngine`] — the genuinely threaded counterpart: each
-//!   shard's queue advances on a scoped worker thread between conservative
-//!   lookahead barriers, cross-shard events travel through per-shard
-//!   mailboxes drained in deterministic origin order, and per-shard traces
-//!   are bit-identical at any thread count.
 //! * [`rng::RngStream`] — named, independently-seeded random streams, so that
 //!   (for example) radio loss draws do not perturb workload draws.
 //! * [`trace::Tracer`] — a bounded structured trace used by tests and benches.
@@ -47,16 +38,12 @@
 
 pub mod event;
 pub mod metrics;
-pub mod par;
 pub mod rng;
-pub mod shard;
 pub mod time;
 pub mod trace;
 
 pub use event::{EventId, EventQueue};
 pub use metrics::{CounterId, Histogram, HistogramId, LatencyRecorder, Metrics};
-pub use par::{EngineStats, ParallelShardedEngine, ShardCtx, ShardLoad, ShardModel};
 pub use rng::RngStream;
-pub use shard::{ShardEventId, ShardedQueue};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceRecord, Tracer};

@@ -3,10 +3,9 @@
 //! Incoming applications present a *demand* — a deployment-wide load
 //! estimate derived from `agilla-analysis` static cost bounds — and the
 //! allocator places them onto topology *regions* (contiguous node-index
-//! runs, the same partitioning shape the sharded engine uses). An app
-//! that fits nowhere is rejected, or queued when the allocator was built
-//! with queueing; queued apps are retried in arrival order whenever
-//! capacity is released.
+//! runs). An app that fits nowhere is rejected, or queued when the
+//! allocator was built with queueing; queued apps are retried in arrival
+//! order whenever capacity is released.
 //!
 //! Every choice is deterministic: regions are scored by (load, index), so
 //! the same arrival sequence always yields the same placements.
@@ -89,7 +88,7 @@ pub struct Allocator {
 impl Allocator {
     /// Builds an allocator over `num_nodes` motes split into
     /// `num_regions` contiguous regions (remainder nodes go to the
-    /// earliest regions, mirroring the sharded engine's partitioning),
+    /// earliest regions),
     /// each node contributing `capacity_per_node` estimated instructions.
     ///
     /// # Panics
