@@ -74,12 +74,18 @@ pub struct Medium {
     /// Per directed link (src, dst): burst channel state.
     burst_state: HashMap<(NodeId, NodeId), GilbertElliott>,
     /// Per receiver: time until which its radio is busy receiving.
-    rx_busy_until: HashMap<NodeId, SimTime>,
-    /// In-flight transmissions: (transmitter, busy-until). Kept as a small
-    /// pruned list rather than a map over every node that ever transmitted:
-    /// carrier sensing scans this on each TX attempt, and at any instant
-    /// only a handful of frames are in the air.
-    tx_busy: Vec<(NodeId, SimTime)>,
+    rx_busy_until: Vec<SimTime>,
+    /// Per transmitter: when its latest frame leaves the air. Carrier sense
+    /// reads only the slots of the sensing node's cell neighborhood, so its
+    /// cost follows local density however many frames are in the air
+    /// network-wide (dozens at any instant in a 10k-mote beacon field).
+    tx_until: Vec<SimTime>,
+    /// The latest `tx_until` of any node: once `now` reaches it the whole
+    /// network is silent and carrier sense answers without a scan.
+    air_until: SimTime,
+    /// Reused per-frame neighbor buffer, so a transmission allocates only
+    /// the outcome list it hands back.
+    nbr_buf: Vec<NodeId>,
     frames_sent: u64,
     frames_lost: u64,
     /// Extra air time prepended to every frame: the stretched preamble of a
@@ -95,17 +101,18 @@ impl Medium {
     /// drives all loss draws deterministically, via one substream per
     /// transmitter.
     pub fn new(topology: Topology, loss: LossModel, seed: u64) -> Self {
+        let n = topology.len();
         let root = RngStream::derive(seed, "radio.medium");
-        let rng = (0..topology.len())
-            .map(|i| root.substream(i as u64))
-            .collect();
+        let rng = (0..n).map(|i| root.substream(i as u64)).collect();
         Medium {
             topology,
             loss,
             rng,
             burst_state: HashMap::new(),
-            rx_busy_until: HashMap::new(),
-            tx_busy: Vec::new(),
+            rx_busy_until: vec![SimTime::ZERO; n],
+            tx_until: vec![SimTime::ZERO; n],
+            air_until: SimTime::ZERO,
+            nbr_buf: Vec::new(),
             frames_sent: 0,
             frames_lost: 0,
             preamble_stretch: SimDuration::ZERO,
@@ -180,12 +187,20 @@ impl Medium {
         frame.air_time() + self.preamble_stretch
     }
 
-    /// Whether the channel is sensed busy at `node` (another node in range is
-    /// transmitting). Used by the MAC for CSMA.
+    /// Whether the channel is sensed busy at `node`: its own frame is still
+    /// in the air, or a node in range is transmitting. Used by the MAC for
+    /// CSMA.
+    ///
+    /// "In range" is judged against the topology as it stands at `now`, not
+    /// as it stood when the frame started: a mote that moves into range,
+    /// dies, or loses or regains a link mid-frame changes what is sensed
+    /// from that instant on.
     pub fn channel_busy(&self, now: SimTime, node: NodeId) -> bool {
-        self.tx_busy.iter().any(|&(tx, until)| {
-            until > now && (tx == node || self.topology.are_neighbors(tx, node))
-        })
+        if self.air_until <= now {
+            return false;
+        }
+        let on_air = |n: NodeId| self.tx_until[n.index()] > now;
+        on_air(node) || self.topology.any_neighbor(node, on_air)
     }
 
     /// Transmits `frame` starting at `now`; returns one [`TxBatch`] covering
@@ -196,11 +211,10 @@ impl Medium {
         let air = self.effective_air_time(frame);
         let end = now + air;
         self.frames_sent += 1;
-        // Drop finished transmissions, then record this one (replacing the
-        // sender's previous entry if it is somehow still listed).
-        self.tx_busy
-            .retain(|&(tx, until)| until > now && tx != frame.src);
-        self.tx_busy.push((frame.src, end));
+        // This frame replaces the sender's previous one, if it is somehow
+        // still in the air.
+        self.tx_until[frame.src.index()] = end;
+        self.air_until = self.air_until.max(end);
         if let Some(ledger) = self.energy.as_mut() {
             // The sender pays for the whole transmission, stretched preamble
             // included — the LPL bargain: senders spend more so idle
@@ -210,10 +224,13 @@ impl Medium {
             m.charge(EnergyState::Tx, air);
         }
 
-        let neighbors = self.topology.neighbors(frame.src);
+        let mut neighbors = std::mem::take(&mut self.nbr_buf);
+        self.topology.neighbors_into(frame.src, &mut neighbors);
+        // The geometry-free loss probability depends on the frame alone.
+        let frame_p = self.loss.frame_loss_probability(frame.on_air_bits());
         let mut outcomes = Vec::with_capacity(neighbors.len());
-        for dst in neighbors {
-            let outcome = self.decide(now, end, frame, dst);
+        for &dst in &neighbors {
+            let outcome = self.decide(now, end, frame, dst, frame_p);
             if outcome != DeliveryOutcome::Delivered {
                 self.frames_lost += 1;
             }
@@ -227,6 +244,7 @@ impl Medium {
             }
             outcomes.push((dst, outcome));
         }
+        self.nbr_buf = neighbors;
         TxBatch {
             arrive_at: end,
             outcomes,
@@ -239,17 +257,14 @@ impl Medium {
         end: SimTime,
         frame: &Frame,
         dst: NodeId,
+        frame_p: f64,
     ) -> DeliveryOutcome {
         // Collision: the receiver is still capturing a previous frame.
-        let busy_until = self
-            .rx_busy_until
-            .get(&dst)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        if busy_until > now {
+        let busy_until = &mut self.rx_busy_until[dst.index()];
+        if *busy_until > now {
             return DeliveryOutcome::LostCollision;
         }
-        self.rx_busy_until.insert(dst, end);
+        *busy_until = end;
 
         // Burst state for this directed link. The directed (src, dst) state
         // is only ever advanced while `src` transmits, so drawing from the
@@ -269,11 +284,11 @@ impl Medium {
             }
         }
 
-        // The geometry-free path computes the same probability as before
-        // mobility existed; with a distance ramp attached, the live
-        // inter-node distance folds into this single draw, so the RNG
-        // consumption — and thus every downstream outcome — is identical
-        // whether or not the channel is position-driven.
+        // The geometry-free path uses the frame's own probability; with a
+        // distance ramp attached, the live inter-node distance folds into
+        // this single draw, so the RNG consumption — and thus every
+        // downstream outcome — is identical whether or not the channel is
+        // position-driven.
         let p = if self.loss.distance.is_some() {
             let dist = self
                 .topology
@@ -282,19 +297,13 @@ impl Medium {
             self.loss
                 .frame_loss_probability_at(frame.on_air_bits(), dist)
         } else {
-            self.loss.frame_loss_probability(frame.on_air_bits())
+            frame_p
         };
         if rng.chance(p) {
             DeliveryOutcome::LostChannel
         } else {
             DeliveryOutcome::Delivered
         }
-    }
-
-    /// Time the medium stays busy for a frame of this size — exposed so MACs
-    /// can compute backoff windows. Includes the LPL preamble stretch.
-    pub fn air_time(&self, frame: &Frame) -> SimDuration {
-        self.effective_air_time(frame)
     }
 
     /// Total frames transmitted.
@@ -311,11 +320,268 @@ impl Medium {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::DistanceLoss;
     use crate::topology::Connectivity;
+    use proptest::prelude::*;
     use wsn_common::Location;
 
     fn perfect_line(n: i16) -> Medium {
         Medium::new(Topology::line(n), LossModel::perfect(), 1)
+    }
+
+    /// The medium before carrier sense went through the cell grid, kept as
+    /// a behavioural oracle: a network-wide list of in-flight frames that
+    /// carrier sense scans in full, a `HashMap` collision table, and
+    /// receivers found by a full scan of the topology.
+    struct ModelMedium {
+        topology: Topology,
+        loss: LossModel,
+        rng: Vec<RngStream>,
+        burst_state: HashMap<(NodeId, NodeId), GilbertElliott>,
+        rx_busy_until: HashMap<NodeId, SimTime>,
+        tx_busy: Vec<(NodeId, SimTime)>,
+        preamble_stretch: SimDuration,
+    }
+
+    impl ModelMedium {
+        fn new(topology: Topology, loss: LossModel, seed: u64) -> Self {
+            let root = RngStream::derive(seed, "radio.medium");
+            let rng = (0..topology.len())
+                .map(|i| root.substream(i as u64))
+                .collect();
+            ModelMedium {
+                topology,
+                loss,
+                rng,
+                burst_state: HashMap::new(),
+                rx_busy_until: HashMap::new(),
+                tx_busy: Vec::new(),
+                preamble_stretch: SimDuration::ZERO,
+            }
+        }
+
+        fn channel_busy(&self, now: SimTime, node: NodeId) -> bool {
+            self.tx_busy.iter().any(|&(tx, until)| {
+                until > now && (tx == node || self.topology.are_neighbors(tx, node))
+            })
+        }
+
+        fn transmit(&mut self, now: SimTime, frame: &Frame) -> TxBatch {
+            let end = now + frame.air_time() + self.preamble_stretch;
+            self.tx_busy
+                .retain(|&(tx, until)| until > now && tx != frame.src);
+            self.tx_busy.push((frame.src, end));
+            let receivers: Vec<NodeId> = self
+                .topology
+                .nodes()
+                .filter(|&n| self.topology.are_neighbors(frame.src, n))
+                .collect();
+            let outcomes = receivers
+                .into_iter()
+                .map(|dst| (dst, self.decide(now, end, frame, dst)))
+                .collect();
+            TxBatch {
+                arrive_at: end,
+                outcomes,
+            }
+        }
+
+        fn decide(
+            &mut self,
+            now: SimTime,
+            end: SimTime,
+            frame: &Frame,
+            dst: NodeId,
+        ) -> DeliveryOutcome {
+            let busy_until = self
+                .rx_busy_until
+                .get(&dst)
+                .copied()
+                .unwrap_or(SimTime::ZERO);
+            if busy_until > now {
+                return DeliveryOutcome::LostCollision;
+            }
+            self.rx_busy_until.insert(dst, end);
+            let rng = &mut self.rng[frame.src.index()];
+            if let Some(template) = &self.loss.bursts {
+                let ge = self
+                    .burst_state
+                    .entry((frame.src, dst))
+                    .or_insert_with(|| template.clone());
+                if ge.advance(now, rng) && rng.chance(ge.bad_loss) {
+                    return DeliveryOutcome::LostChannel;
+                }
+            }
+            let dist = self
+                .topology
+                .location(frame.src)
+                .distance(self.topology.location(dst));
+            let p = self
+                .loss
+                .frame_loss_probability_at(frame.on_air_bits(), dist);
+            if rng.chance(p) {
+                DeliveryOutcome::LostChannel
+            } else {
+                DeliveryOutcome::Delivered
+            }
+        }
+    }
+
+    /// Two motes `gap` grid units apart on the x axis under `Range(2.0)`,
+    /// with a 20-byte frame from mote 0 already in the air; returns the
+    /// medium and the frame's end of air.
+    fn pair_mid_frame(gap: i16) -> (Medium, SimTime) {
+        let topo = Topology::new(
+            vec![Location::new(0, 0), Location::new(gap, 0)],
+            Connectivity::Range(2.0),
+        );
+        let mut m = Medium::new(topo, LossModel::perfect(), 4);
+        let batch = m.transmit(SimTime::ZERO, &Frame::broadcast(NodeId(0), vec![0; 20]));
+        (m, batch.arrive_at)
+    }
+
+    #[test]
+    fn mote_moving_into_range_mid_frame_senses_the_carrier() {
+        let (mut m, end) = pair_mid_frame(5);
+        let t = SimTime::from_micros(1_000);
+        assert!(t < end);
+        assert!(!m.channel_busy(t, NodeId(1)), "out of range at the start");
+        m.move_node(NodeId(1), Location::new(1, 0));
+        assert!(
+            m.channel_busy(t, NodeId(1)),
+            "carrier is judged against the live topology, not the one at transmit time"
+        );
+        m.move_node(NodeId(1), Location::new(5, 0));
+        assert!(
+            !m.channel_busy(t, NodeId(1)),
+            "and leaving range silences it"
+        );
+    }
+
+    #[test]
+    fn removed_transmitter_stops_contributing_carrier_mid_frame() {
+        let (mut m, end) = pair_mid_frame(1);
+        let t = SimTime::from_micros(1_000);
+        assert!(t < end);
+        assert!(m.channel_busy(t, NodeId(1)));
+        m.remove_node(NodeId(0));
+        assert!(
+            !m.channel_busy(t, NodeId(1)),
+            "a dead mote's frame no longer occupies its neighbors' channel"
+        );
+    }
+
+    #[test]
+    fn dropped_link_mid_frame_silences_carrier_until_healed() {
+        let (mut m, end) = pair_mid_frame(1);
+        let t = SimTime::from_micros(1_000);
+        assert!(t < end);
+        m.drop_link(NodeId(0), NodeId(1));
+        assert!(!m.channel_busy(t, NodeId(1)), "severed mid-frame");
+        assert!(
+            m.channel_busy(t, NodeId(0)),
+            "the sender still hears itself"
+        );
+        m.heal_link(NodeId(1), NodeId(0));
+        assert!(
+            m.channel_busy(t, NodeId(1)),
+            "healed while still in the air"
+        );
+        assert!(!m.channel_busy(end, NodeId(1)), "idle once the frame ends");
+    }
+
+    proptest! {
+        /// Random interleavings of transmissions, carrier sense and
+        /// topology changes — moves, deaths, dropped and healed links, many
+        /// of them while frames are still in the air — give the same
+        /// `channel_busy` answer at every node after every step, and the
+        /// same `TxBatch` for every frame, as the full-scan oracle. Time
+        /// only moves forward, as in the simulator.
+        #[test]
+        fn prop_matches_reference_medium(
+            boot in prop::collection::btree_set((-5i16..=5, -5i16..=5), 2..=16),
+            grid_adjacent in any::<bool>(),
+            radius in 1.0f64..3.5,
+            loss_pick in 0u8..4,
+            stretch_ms in 0u64..3,
+            seed in 0u64..1_000,
+            ops in prop::collection::vec((0u8..12, 0u16..256, 0u16..256, 0u64..4_000), 1..120),
+        ) {
+            let positions: Vec<Location> =
+                boot.into_iter().map(|(x, y)| Location::new(x, y)).collect();
+            let connectivity = if grid_adjacent {
+                Connectivity::GridAdjacent
+            } else {
+                Connectivity::Range(radius)
+            };
+            let loss = match loss_pick {
+                0 => LossModel::perfect(),
+                1 => LossModel::uniform(0.3),
+                2 => {
+                    let mut l = LossModel::mica2_testbed();
+                    l.bursts = Some(GilbertElliott::new(0.01, 0.01, 0.8));
+                    l
+                }
+                _ => LossModel::uniform(0.1).with_distance(DistanceLoss::new(0.5, 3.0, 0.6)),
+            };
+            let topo = Topology::new(positions, connectivity);
+            let n = topo.len() as u16;
+            let mut model = ModelMedium::new(topo.clone(), loss.clone(), seed);
+            let mut m = Medium::new(topo, loss, seed);
+            let stretch = SimDuration::from_millis(stretch_ms * 4);
+            m.set_preamble_stretch(stretch);
+            model.preamble_stretch = stretch;
+            let mut dropped: Vec<(NodeId, NodeId)> = Vec::new();
+            let mut lost = 0u64;
+            let mut now = SimTime::ZERO;
+            for (step, (op, a, b, dt)) in ops.into_iter().enumerate() {
+                now += SimDuration::from_micros(dt);
+                let node = NodeId(a % n);
+                let other = NodeId(b % n);
+                match op {
+                    0..=3 => {
+                        let frame = Frame::broadcast(node, vec![0; usize::from(b % 28)]);
+                        let got = m.transmit(now, &frame);
+                        let want = model.transmit(now, &frame);
+                        prop_assert_eq!(&got, &want, "transmit at step {}", step);
+                        lost += want
+                            .outcomes
+                            .iter()
+                            .filter(|(_, o)| *o != DeliveryOutcome::Delivered)
+                            .count() as u64;
+                    }
+                    4..=6 => {
+                        let to = Location::new((b % 15) as i16 - 7, (b / 15 % 15) as i16 - 7);
+                        m.move_node(node, to);
+                        model.topology.move_node(node, to);
+                    }
+                    7 => {
+                        m.remove_node(node);
+                        model.topology.remove_node(node);
+                    }
+                    8 | 9 => {
+                        m.drop_link(node, other);
+                        model.topology.drop_link(node, other);
+                        dropped.push((node, other));
+                    }
+                    _ => {
+                        if !dropped.is_empty() {
+                            let (x, y) = dropped.swap_remove(usize::from(b) % dropped.len());
+                            m.heal_link(x, y);
+                            model.topology.heal_link(x, y);
+                        }
+                    }
+                }
+                for probe in m.topology().nodes() {
+                    prop_assert_eq!(
+                        m.channel_busy(now, probe),
+                        model.channel_busy(now, probe),
+                        "channel_busy({:?}) at step {}", probe, step
+                    );
+                }
+            }
+            prop_assert_eq!(m.frames_lost(), lost);
+        }
     }
 
     #[test]

@@ -99,10 +99,11 @@ impl CellGrid {
         }
     }
 
-    /// Calls `f` for every member of the 3×3 cell neighborhood around `p`,
-    /// cell by cell in row-major order (ids ascend within a cell but not
-    /// across cells — callers wanting global id order must sort).
-    fn for_each_nearby(&self, p: Location, mut f: impl FnMut(NodeId)) {
+    /// Calls `f` for members of the 3×3 cell neighborhood around `p`, cell
+    /// by cell in row-major order (ids ascend within a cell but not across
+    /// cells — callers wanting global id order must sort), stopping at the
+    /// first member for which `f` returns true. Returns whether any did.
+    fn any_nearby(&self, p: Location, mut f: impl FnMut(NodeId) -> bool) -> bool {
         let (cx, cy) = self.cell_coords(p);
         for dy in -1..=1i64 {
             let y = cy + dy;
@@ -115,10 +116,13 @@ impl CellGrid {
                     continue;
                 }
                 for &n in &self.members[y as usize * self.cols + x as usize] {
-                    f(n);
+                    if f(n) {
+                        return true;
+                    }
                 }
             }
         }
+        false
     }
 }
 
@@ -350,14 +354,31 @@ impl Topology {
     /// filtered exactly as a full scan would.
     pub fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.grid
-            .for_each_nearby(self.positions[node.index()], |n| {
-                if self.are_neighbors(node, n) {
-                    out.push(n);
-                }
-            });
-        out.sort_unstable();
+        self.neighbors_into(node, &mut out);
         out
+    }
+
+    /// [`Topology::neighbors`] into a caller-owned buffer: `out` is cleared
+    /// and refilled, so a hot loop can reuse one allocation per query.
+    pub(crate) fn neighbors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
+        self.grid.any_nearby(self.positions[node.index()], |n| {
+            if self.are_neighbors(node, n) {
+                out.push(n);
+            }
+            false
+        });
+        out.sort_unstable();
+    }
+
+    /// Whether some neighbor `c` of `node` satisfies `pred(c)`, scanning the
+    /// same 3×3 cell neighborhood as [`Topology::neighbors`] and stopping at
+    /// the first hit. `pred` runs before the neighbor test, so a cheap
+    /// predicate that rejects most candidates skips most distance checks.
+    pub(crate) fn any_neighbor(&self, node: NodeId, mut pred: impl FnMut(NodeId) -> bool) -> bool {
+        self.grid.any_nearby(self.positions[node.index()], |c| {
+            pred(c) && self.are_neighbors(node, c)
+        })
     }
 
     /// Minimum hop count between two nodes (BFS over the neighbor relation),
@@ -545,6 +566,27 @@ mod tests {
         t.nodes().filter(|&n| t.are_neighbors(node, n)).collect()
     }
 
+    /// Every indexed query about `node` agrees with the full scan:
+    /// `neighbors`, `neighbors_into` over a buffer holding stale ids, and
+    /// `any_neighbor` probed for each node id in turn.
+    fn check_queries_match_full_scan(t: &Topology, node: NodeId) -> Result<(), TestCaseError> {
+        let want = neighbors_full_scan(t, node);
+        prop_assert_eq!(t.neighbors(node), want.clone(), "neighbors({:?})", node);
+        let mut buf = vec![node, NodeId(u16::MAX), node];
+        t.neighbors_into(node, &mut buf);
+        prop_assert_eq!(&buf, &want, "neighbors_into({:?})", node);
+        for x in t.nodes() {
+            prop_assert_eq!(
+                t.any_neighbor(node, |c| c == x),
+                want.contains(&x),
+                "any_neighbor({:?}, == {:?})",
+                node,
+                x
+            );
+        }
+        Ok(())
+    }
+
     #[test]
     fn grid_neighbors_match_full_scan_after_faults() {
         let mut t = Topology::grid_with_base(5, 5);
@@ -660,7 +702,7 @@ mod tests {
             t.remove_node(NodeId(kill % n));
             t.drop_link(NodeId(sever % n), NodeId((sever + 1) % n));
             for node in t.nodes() {
-                prop_assert_eq!(t.neighbors(node), neighbors_full_scan(&t, node));
+                check_queries_match_full_scan(&t, node)?;
             }
         }
 
@@ -686,7 +728,7 @@ mod tests {
             }
             let t = Topology::new(positions, Connectivity::Range(f64::from(radius)));
             for node in t.nodes() {
-                prop_assert_eq!(t.neighbors(node), neighbors_full_scan(&t, node));
+                check_queries_match_full_scan(&t, node)?;
             }
         }
 
@@ -699,9 +741,9 @@ mod tests {
         ) {
             // Random-walk motes (including out of the boot bounding box) and
             // kill one mid-walk. After every single step: each active node
-            // occupies exactly one cell (dead ones zero — no ghosts),
-            // neighbors() equals the O(N) full scan, and member lists stay
-            // strictly sorted.
+            // occupies exactly one cell (dead ones zero — no ghosts), every
+            // neighbor query equals the O(N) full scan, and member lists
+            // stay strictly sorted.
             let mut s = seed;
             let next = |s: &mut u64| {
                 *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -736,7 +778,7 @@ mod tests {
                         usize::from(t.is_active(node)),
                         "node {:?} after step {}", node, step
                     );
-                    prop_assert_eq!(t.neighbors(node), neighbors_full_scan(&t, node));
+                    check_queries_match_full_scan(&t, node)?;
                 }
                 for cell in &t.grid.members {
                     prop_assert!(cell.windows(2).all(|w| w[0] < w[1]), "cells stay sorted");
