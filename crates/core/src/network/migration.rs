@@ -12,8 +12,7 @@
 
 use agilla_tuplespace::Reaction;
 use agilla_vm::{AgentState, MigrateKind};
-use wsn_common::{Location, NodeId};
-use wsn_net::next_hop;
+use wsn_common::{AgentId, Location, NodeId};
 use wsn_radio::Frame;
 use wsn_sim::{SimDuration, SimTime};
 
@@ -51,6 +50,13 @@ impl AgillaNetwork {
             return;
         }
 
+        // Route before building anything: a clone with nowhere to go fails
+        // without being copied or packaged.
+        if kind.is_clone() && self.greedy_hop(idx, dest, now).is_none() {
+            self.fail_unroutable_clone(idx, slot_idx, kind, dest, now);
+            return;
+        }
+
         let owner = self.nodes[idx].slots[slot_idx]
             .as_ref()
             .expect("migrating slot")
@@ -82,7 +88,7 @@ impl AgillaNetwork {
                 .as_mut()
                 .expect("migrating slot");
             let mut copy = slot.agent.clone();
-            let new_id = wsn_common::AgentId(self.agent_ids.allocate());
+            let new_id = AgentId(self.agent_ids.allocate());
             copy.set_id(new_id);
             let mut reactions = reactions;
             for r in &mut reactions {
@@ -117,6 +123,42 @@ impl AgillaNetwork {
         self.open_sender_session(idx, image, held_agent, origin_slot, setup, now);
     }
 
+    /// A clone (`sclone`/`wclone`) with no next hop toward `dest`. The
+    /// effects, and their order, are those of packaging the clone and
+    /// failing its session for want of a route — one agent id consumed,
+    /// the `migrate.start` and `migrate.noroute` records, one
+    /// `migration.started`, the original resumed with condition 0 — but
+    /// the agent is never copied, packaged or encoded. FIRETRACKER-style
+    /// agents retry `sclone` from a greedy dead end in a tight loop, so
+    /// this is the common clone start on sparse or moving fields.
+    fn fail_unroutable_clone(
+        &mut self,
+        idx: usize,
+        slot_idx: usize,
+        kind: MigrateKind,
+        dest: Location,
+        now: SimTime,
+    ) {
+        let node_id = self.nodes[idx].id;
+        let slot = self.nodes[idx].slots[slot_idx]
+            .as_mut()
+            .expect("migrating slot");
+        slot.status = AgentStatus::InMigration;
+        let owner = slot.agent.id();
+        let clone_id = AgentId(self.agent_ids.allocate());
+        self.tenancy_inherit(owner, clone_id);
+        self.tracer
+            .record_with(now, Some(node_id), "migrate.start", || {
+                format!("{clone_id} {kind:?} -> {dest}")
+            });
+        self.metrics.bump(self.ctr.mig_started);
+        self.tracer
+            .record_with(now, Some(node_id), "migrate.noroute", || {
+                format!("{clone_id} -> {dest}")
+            });
+        self.resume_clone_original(idx, slot_idx, clone_id, now);
+    }
+
     /// A migration whose destination is the current node.
     fn local_migration(&mut self, idx: usize, slot_idx: usize, kind: MigrateKind, now: SimTime) {
         let node_id = self.nodes[idx].id;
@@ -126,7 +168,7 @@ impl AgillaNetwork {
                 (slot.agent.clone(), slot.agent.id())
             };
             let mut copy = copy;
-            let new_id = wsn_common::AgentId(self.agent_ids.allocate());
+            let new_id = AgentId(self.agent_ids.allocate());
             copy.set_id(new_id);
             if !kind.is_strong() {
                 copy.reset_weak();
@@ -187,6 +229,11 @@ impl AgillaNetwork {
         self.schedule_engine(idx, now, SimDuration::ZERO);
     }
 
+    /// Opens a sender session toward the greedy next hop for
+    /// `image.final_dest`. `origin_slot` holds a clone's paused original; a
+    /// mover's state rides in `held_agent`; relays pass neither. With no
+    /// next hop the mover or relay resumes here at once (unroutable clones
+    /// never get this far; see `fail_unroutable_clone`).
     pub(super) fn open_sender_session(
         &mut self,
         idx: usize,
@@ -197,16 +244,13 @@ impl AgillaNetwork {
         now: SimTime,
     ) {
         let node_id = self.nodes[idx].id;
-        let my_loc = self.nodes[idx].loc;
-        let neighbors = self.nodes[idx].acq.live(now);
-        // Head of the `next_hop_candidates` ordering; the tail is the
-        // (not-yet-wired) failover plan for hop-level session retries.
-        let Some(hop) = next_hop(my_loc, &neighbors, image.final_dest) else {
+        let Some(hop) = self.greedy_hop(idx, image.final_dest, now) else {
+            debug_assert!(origin_slot.is_none(), "unroutable clones fail earlier");
             self.tracer
                 .record_with(now, Some(node_id), "migrate.noroute", || {
                     format!("{} -> {}", image.agent_id, image.final_dest)
                 });
-            self.resume_failed_migration(idx, image, held_agent, origin_slot, now);
+            self.resume_failed_migration(idx, image, held_agent, now);
             return;
         };
         let session = self.session_ids.allocate();
@@ -224,16 +268,12 @@ impl AgillaNetwork {
             next_hop: hop,
             tried_hops: Vec::new(),
             held_agent,
-            resume_on_success: origin_slot.is_some(),
+            origin_slot,
             retx: super::session::RetxState::new(),
         };
         self.nodes[idx].send_sessions.insert(session, s);
-        // Remember which slot the clone original sits in via the map below.
-        if let Some(slot_idx) = origin_slot {
+        if origin_slot.is_some() {
             self.metrics.bump(self.ctr.mig_clone_sessions);
-            // Encode the slot in the session record through held_agent=None +
-            // origin lookup at completion time: store in a side map.
-            self.clone_origins.push((node_id, session, slot_idx));
         }
         self.send_migration_msg(idx, session, setup, now);
     }
@@ -441,15 +481,13 @@ impl AgillaNetwork {
             .record_with(now, Some(node_id), "migrate.hop", || {
                 format!("{} forwarded via {}", s.image.agent_id, s.next_hop)
             });
-        if s.resume_on_success {
+        if let Some(slot_idx) = s.origin_slot {
             // Clone original resumes with condition 2 (copy dispatched).
-            if let Some(slot_idx) = self.take_clone_origin(node_id, session) {
-                if let Some(slot) = self.nodes[idx].slots[slot_idx].as_mut() {
-                    if slot.status == AgentStatus::InMigration {
-                        slot.agent.set_condition(2);
-                        slot.status = AgentStatus::Ready;
-                        self.schedule_engine(idx, now, SimDuration::ZERO);
-                    }
+            if let Some(slot) = self.nodes[idx].slots[slot_idx].as_mut() {
+                if slot.status == AgentStatus::InMigration {
+                    slot.agent.set_condition(2);
+                    slot.status = AgentStatus::Ready;
+                    self.schedule_engine(idx, now, SimDuration::ZERO);
                 }
             }
         }
@@ -469,42 +507,55 @@ impl AgillaNetwork {
                 format!("{}: {why}", s.image.agent_id)
             });
         self.metrics.bump(self.ctr.mig_failed);
-        let origin_slot = self.take_clone_origin(node_id, session);
-        self.resume_failed_migration(idx, s.image, s.held_agent, origin_slot, now);
+        match s.origin_slot {
+            Some(slot_idx) => self.resume_clone_original(idx, slot_idx, s.image.agent_id, now),
+            None => self.resume_failed_migration(idx, s.image, s.held_agent, now),
+        }
+    }
+
+    /// The clone case of [`Self::resume_failed_migration`]: the original
+    /// paused in `slot_idx` resumes with condition 0, and the copy
+    /// `clone_id` is dropped. The copy never held a slot charge, so only
+    /// its app mapping goes. Every failed clone — unroutable at the start
+    /// or failed in session — ends here.
+    fn resume_clone_original(
+        &mut self,
+        idx: usize,
+        slot_idx: usize,
+        clone_id: AgentId,
+        now: SimTime,
+    ) {
+        let node_id = self.nodes[idx].id;
+        self.tenancy_forget_mapping(clone_id);
+        if let Some(slot) = self.nodes[idx].slots[slot_idx].as_mut() {
+            if slot.status == AgentStatus::InMigration {
+                slot.agent.set_condition(0);
+                slot.status = AgentStatus::Ready;
+            }
+        }
+        self.log.push(OpRecord::MigrationFailed {
+            agent: clone_id,
+            node: node_id,
+            at: now,
+        });
+        self.schedule_engine(idx, now, SimDuration::ZERO);
     }
 
     /// "If the sender detects a failure, it resumes the agent running on the
     /// local machine with the condition code set to zero." (Section 3.2)
+    ///
+    /// A mover's held state, or a relay's agent re-materialized from its
+    /// image, is re-admitted here if it fits; clones resume through
+    /// [`Self::resume_clone_original`].
     fn resume_failed_migration(
         &mut self,
         idx: usize,
         image: MigrationImage,
         held_agent: Option<AgentState>,
-        origin_slot: Option<usize>,
         now: SimTime,
     ) {
         let node_id = self.nodes[idx].id;
         let agent_id = image.agent_id;
-        if let Some(slot_idx) = origin_slot {
-            // Clone original: resume with condition 0. The travelling copy
-            // is dropped — it never held a slot charge, so only its app
-            // mapping goes.
-            self.tenancy_forget_mapping(agent_id);
-            if let Some(slot) = self.nodes[idx].slots[slot_idx].as_mut() {
-                if slot.status == AgentStatus::InMigration {
-                    slot.agent.set_condition(0);
-                    slot.status = AgentStatus::Ready;
-                }
-            }
-            self.log.push(OpRecord::MigrationFailed {
-                agent: agent_id,
-                node: node_id,
-                at: now,
-            });
-            self.schedule_engine(idx, now, SimDuration::ZERO);
-            return;
-        }
-        // Mover (held state) or relay (re-materialize from the image).
         let mut agent = match held_agent {
             Some(a) => a,
             None => match crate::migration::reassemble(
@@ -599,8 +650,7 @@ impl AgillaNetwork {
             return;
         }
         // Forward toward the envelope destination.
-        let neighbors = self.nodes[idx].acq.live(now);
-        if let Some(hop) = wsn_net::next_hop(my_loc, &neighbors, env.dest) {
+        if let Some(hop) = self.greedy_hop(idx, env.dest, now) {
             let msg = wire::message(am::MIG_E2E, env.encode());
             let fwd = SimDuration::from_micros(self.config.timing.georouting_forward_us);
             self.enqueue_frame(idx, Frame::unicast(node_id, hop, msg.encode()), now, fwd);
@@ -753,8 +803,7 @@ impl AgillaNetwork {
             inner_am,
             inner,
         };
-        let neighbors = self.nodes[idx].acq.live(now);
-        if let Some(hop) = wsn_net::next_hop(my_loc, &neighbors, dest) {
+        if let Some(hop) = self.greedy_hop(idx, dest, now) {
             let msg = wire::message(am::MIG_E2E, env.encode());
             self.enqueue_frame(
                 idx,
@@ -901,17 +950,5 @@ impl AgillaNetwork {
             let handling = SimDuration::from_micros(self.config.timing.migration_msg_handling_us);
             self.open_sender_session(idx, image, None, None, handling, now);
         }
-    }
-
-    // --- clone-origin side table ------------------------------------------
-
-    /// Side table mapping clone sender sessions to the originating slot;
-    /// kept out of `SenderSession` so relay sessions stay slot-free.
-    fn take_clone_origin(&mut self, node: NodeId, session: u16) -> Option<usize> {
-        let pos = self
-            .clone_origins
-            .iter()
-            .position(|(n, s, _)| *n == node && *s == session)?;
-        Some(self.clone_origins.remove(pos).2)
     }
 }

@@ -22,7 +22,7 @@ pub mod session;
 mod migration;
 mod remote;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use agilla_tenancy::{AppId, AppProfile, Priority, QuotaLedger};
 use agilla_tuplespace::{Reaction, Template, Tuple, TupleSpaceError};
@@ -288,8 +288,13 @@ pub struct AgillaNetwork {
     agent_ids: SessionIdGen,
     session_ids: SessionIdGen,
     op_ids: SessionIdGen,
-    /// Maps clone sender sessions to the slot holding the paused original.
-    clone_origins: Vec<(NodeId, u16, usize)>,
+    /// Bytecode of every source text that assembled, so each distinct
+    /// program injected by source is assembled once per network.
+    assembled: HashMap<String, Vec<u8>>,
+    /// Bytecodes `agilla_analysis::verify` accepted on this network.
+    /// Verification is a pure function of the code, so each distinct
+    /// program is analyzed once; refusals are not kept and re-run.
+    verified: HashSet<Vec<u8>>,
     /// Multi-tenancy state; inert until an application registers.
     tenancy: Tenancy,
     /// Mobility state; inert until a motion plan is installed.
@@ -376,7 +381,8 @@ impl AgillaNetwork {
             agent_ids: SessionIdGen::new(),
             session_ids: SessionIdGen::new(),
             op_ids: SessionIdGen::new(),
-            clone_origins: Vec::new(),
+            assembled: HashMap::new(),
+            verified: HashSet::new(),
             tenancy: Tenancy::default(),
             motion: MotionState::default(),
         };
@@ -461,8 +467,8 @@ impl AgillaNetwork {
     ///
     /// Assembly errors or admission failure.
     pub fn inject_source(&mut self, source: &str) -> Result<AgentId, AgillaError> {
-        let program = asm::assemble(source).map_err(|e| AgillaError::BadAgent(e.to_string()))?;
-        self.inject_at(self.base, program.into_code())
+        let code = self.assemble(source)?;
+        self.inject_at(self.base, code)
     }
 
     /// Assembles `source` and injects at the node addressed by `loc`.
@@ -475,13 +481,13 @@ impl AgillaNetwork {
         loc: Location,
         source: &str,
     ) -> Result<AgentId, AgillaError> {
-        let program = asm::assemble(source).map_err(|e| AgillaError::BadAgent(e.to_string()))?;
+        let code = self.assemble(source)?;
         let node = self
             .medium
             .topology()
             .node_near(loc, self.config.epsilon)
             .ok_or_else(|| AgillaError::UnknownLocation(loc.to_string()))?;
-        self.inject_at(node, program.into_code())
+        self.inject_at(node, code)
     }
 
     /// Injects bytecode as a new agent on `node`.
@@ -502,8 +508,8 @@ impl AgillaNetwork {
     ///
     /// As [`AgillaNetwork::inject_at_as`], plus assembly errors.
     pub fn inject_source_as(&mut self, source: &str, app: AppId) -> Result<AgentId, AgillaError> {
-        let program = asm::assemble(source).map_err(|e| AgillaError::BadAgent(e.to_string()))?;
-        self.inject_at_as(self.base, program.into_code(), Some(app))
+        let code = self.assemble(source)?;
+        self.inject_at_as(self.base, code, Some(app))
     }
 
     /// Assembles `source` and injects at the node addressed by `loc` on
@@ -519,13 +525,27 @@ impl AgillaNetwork {
         source: &str,
         app: AppId,
     ) -> Result<AgentId, AgillaError> {
-        let program = asm::assemble(source).map_err(|e| AgillaError::BadAgent(e.to_string()))?;
+        let code = self.assemble(source)?;
         let node = self
             .medium
             .topology()
             .node_near(loc, self.config.epsilon)
             .ok_or_else(|| AgillaError::UnknownLocation(loc.to_string()))?;
-        self.inject_at_as(node, program.into_code(), Some(app))
+        self.inject_at_as(node, code, Some(app))
+    }
+
+    /// The bytecode of `source`, assembled on its first injection into this
+    /// network. Assembly errors are not kept, so each failing arrival
+    /// reports its own error.
+    fn assemble(&mut self, source: &str) -> Result<Vec<u8>, AgillaError> {
+        if let Some(code) = self.assembled.get(source) {
+            return Ok(code.clone());
+        }
+        let code = asm::assemble(source)
+            .map_err(|e| AgillaError::BadAgent(e.to_string()))?
+            .into_code();
+        self.assembled.insert(source.to_owned(), code.clone());
+        Ok(code)
     }
 
     /// Injects bytecode as a new agent on `node`, optionally on behalf of
@@ -593,11 +613,12 @@ impl AgillaNetwork {
                 });
             }
         }
-        if self.config.verify_on_inject {
+        if self.config.verify_on_inject && !self.verified.contains(&code) {
             if let Err(e) = agilla_analysis::verify(&code) {
                 self.tenancy_refund_slot(app, idx);
                 return Err(e.into());
             }
+            self.verified.insert(code.clone());
         }
         let id = AgentId(self.agent_ids.allocate());
         let mut agent = match AgentState::with_code_budget(id, code, self.config.code_budget()) {
@@ -1610,6 +1631,15 @@ impl AgillaNetwork {
     }
 
     // --- radio / MAC ------------------------------------------------------
+
+    /// The greedy geographic next hop from node `idx` toward `dest` over
+    /// its live acquaintances (`None` at a local minimum). Single-hop
+    /// decisions route here without collecting the list; failover plans
+    /// still collect it for [`wsn_net::next_hop_candidates`].
+    fn greedy_hop(&self, idx: usize, dest: Location, now: SimTime) -> Option<NodeId> {
+        let node = &self.nodes[idx];
+        wsn_net::next_hop(node.loc, node.acq.iter_live(now), dest)
+    }
 
     fn enqueue_frame(&mut self, idx: usize, frame: Frame, now: SimTime, extra_delay: SimDuration) {
         self.nodes[idx].tx_queue.push_back(frame);

@@ -15,7 +15,6 @@
 
 use agilla_tuplespace::Tuple;
 use agilla_vm::exec::{self, RemoteOp};
-use wsn_net::next_hop;
 use wsn_radio::Frame;
 use wsn_sim::{SimDuration, SimTime};
 
@@ -152,7 +151,6 @@ impl AgillaNetwork {
             };
             (p.request.encode(), p.request.dest, p.tried_hops.clone())
         };
-        let neighbors = self.nodes[idx].acq.live(now);
         let timer = self.queue.schedule(
             now + self.config.remote_op_timeout,
             Event::RemoteTimeout {
@@ -167,8 +165,9 @@ impl AgillaNetwork {
         // the candidate list); after a first-hop failover, exhausted
         // candidates are skipped in best-first order.
         let hop = if tried.is_empty() {
-            next_hop(my_loc, &neighbors, dest)
+            self.greedy_hop(idx, dest, now)
         } else {
+            let neighbors = self.nodes[idx].acq.live(now);
             wsn_net::next_hop_candidates(my_loc, &neighbors, dest)
                 .into_iter()
                 .find(|c| !tried.contains(c))
@@ -358,8 +357,7 @@ impl AgillaNetwork {
         } else {
             // Forward toward the destination (a TinyOS task at each hop).
             let fwd = SimDuration::from_micros(self.config.timing.georouting_forward_us);
-            let neighbors = self.nodes[idx].acq.live(now);
-            match next_hop(my_loc, &neighbors, req.dest) {
+            match self.greedy_hop(idx, req.dest, now) {
                 Some(hop) => {
                     let msg = wire::message(am::RTS_REQ, req.encode());
                     self.enqueue_frame(idx, Frame::unicast(node_id, hop, msg.encode()), now, fwd);
@@ -382,8 +380,7 @@ impl AgillaNetwork {
             self.deliver_rts_reply(idx, reply, now);
             return;
         }
-        let neighbors = self.nodes[idx].acq.live(now);
-        match next_hop(my_loc, &neighbors, reply.dest) {
+        match self.greedy_hop(idx, reply.dest, now) {
             Some(hop) => {
                 let msg = wire::message(am::RTS_REP, reply.encode());
                 self.enqueue_frame(idx, Frame::unicast(node_id, hop, msg.encode()), now, extra);

@@ -82,12 +82,13 @@ pub struct SenderSession {
     /// `hop_failover` on, the session walks `next_hop_candidates` order
     /// skipping these before giving up.
     pub tried_hops: Vec<NodeId>,
-    /// The original agent, held for failure resume: movers' state, or the
-    /// clone original to resume on completion. `None` for relay sessions.
+    /// A mover's state, held for resuming it here if the session fails.
+    /// `None` for clones and relays.
     pub held_agent: Option<AgentState>,
-    /// Whether the held agent should resume locally on *success* too
-    /// (clones) or only on failure (moves).
-    pub resume_on_success: bool,
+    /// The slot holding a clone's paused original, which resumes when the
+    /// session ends: condition 2 on success, 0 on failure. `None` for
+    /// movers and relays.
+    pub origin_slot: Option<usize>,
     /// Shared-session-layer retransmission state for the in-flight message.
     pub retx: RetxState,
 }

@@ -296,27 +296,112 @@ fn faulting_agent_is_killed_and_resources_reclaimed() {
     net.inject_source(workload::BLINK_AGENT).unwrap();
 }
 
-#[test]
-fn migration_failure_on_partitioned_network_resumes_locally() {
-    // Two nodes far apart: no route at all.
+/// Two nodes far apart: no route at all between them.
+fn partitioned() -> AgillaNetwork {
     let topo = Topology::new(
         vec![Location::new(0, 1), Location::new(50, 50)],
         wsn_radio::Connectivity::GridAdjacent,
     );
-    let mut net = AgillaNetwork::new(
+    AgillaNetwork::new(
         topo,
         LossModel::perfect(),
         AgillaConfig::default(),
         Environment::ambient(),
         3,
+    )
+}
+
+/// The agents named in `MigrationFailed` records, in log order.
+fn failed_migrations(net: &AgillaNetwork) -> Vec<AgentId> {
+    net.log()
+        .records()
+        .iter()
+        .filter_map(|r| match r {
+            agilla::stats::OpRecord::MigrationFailed { agent, .. } => Some(*agent),
+            _ => None,
+        })
+        .collect()
+}
+
+fn trace_count(net: &AgillaNetwork, kind: &str) -> usize {
+    net.trace().iter().filter(|r| r.kind == kind).count()
+}
+
+#[test]
+fn migration_failure_on_partitioned_network_resumes_locally() {
+    for op in ["smove", "sclone", "wclone"] {
+        let mut net = partitioned();
+        // `ceq` of two equal values sets condition 1 before the attempt;
+        // the agent sleeps 2 s (16 ticks) after it, so its state can be
+        // read before it halts.
+        let src = format!("pushc 1\npushc 1\nceq\npushloc 50 50\n{op}\npushcl 16\nsleep\nhalt");
+        let id = net.inject_source(&src).unwrap();
+        net.run_for(SimDuration::from_secs(1));
+        // No route: the agent resumes locally with condition 0.
+        let state = net.agent_state(id).expect("original still resident");
+        assert_eq!(state.condition(), 0, "{op}");
+        let failed = failed_migrations(&net);
+        assert_eq!(failed.len(), 1, "{op}");
+        let m = net.metrics();
+        assert_eq!(m.counter("migration.started"), 1, "{op}");
+        assert_eq!(m.counter("migration.clone_sessions"), 0, "{op}");
+        assert_eq!(trace_count(&net, "migrate.start"), 1, "{op}");
+        assert_eq!(trace_count(&net, "migrate.noroute"), 1, "{op}");
+        if op == "smove" {
+            // The mover itself is the failed agent.
+            assert_eq!(failed, vec![id]);
+        } else {
+            // A clone fails under a fresh id of its own.
+            assert_ne!(failed[0], id, "{op}");
+            assert_eq!(
+                net.node(NodeId(0)).agents(),
+                vec![id],
+                "{op}: no copy admitted"
+            );
+        }
+        net.run_for(SimDuration::from_secs(5));
+        assert!(net.log().halted_at(id).is_some(), "{op}");
+    }
+}
+
+#[test]
+fn unroutable_clone_retry_loop_consumes_one_agent_id_per_attempt() {
+    // FIRETRACKER's RETRY idiom (`rjump RETRY` on condition 0), bounded to
+    // five attempts by a counter in heap slot 0.
+    const ATTEMPTS: usize = 5;
+    let src = format!(
+        "\
+pushc 0
+setvar 0
+RETRY pushloc 50 50
+sclone
+rjumpc DONE
+getvar 0
+inc
+setvar 0
+getvar 0
+pushc {ATTEMPTS}
+ceq
+rjumpc DONE
+rjump RETRY
+DONE halt"
     );
-    let id = net
-        .inject_source(&workload::one_way_agent("smove", Location::new(50, 50)))
-        .unwrap();
-    net.run_for(SimDuration::from_secs(5));
-    // No route: the agent resumes locally with condition 0 and halts.
-    assert_eq!(net.log().migration_failures(), 1);
+    let mut net = partitioned();
+    let id = net.inject_source(&src).unwrap();
+    net.run_for(SimDuration::from_secs(2));
     assert!(net.log().halted_at(id).is_some());
+    let failed = failed_migrations(&net);
+    assert_eq!(failed.len(), ATTEMPTS);
+    // Each attempt failed under its own fresh id, allocated in order.
+    let expected: Vec<AgentId> = (1..=ATTEMPTS as u16).map(|k| AgentId(id.0 + k)).collect();
+    assert_eq!(failed, expected);
+    assert_eq!(net.metrics().counter("migration.started"), ATTEMPTS as u64);
+    assert_eq!(net.metrics().counter("migration.clone_sessions"), 0);
+    assert_eq!(trace_count(&net, "migrate.start"), ATTEMPTS);
+    assert_eq!(trace_count(&net, "migrate.noroute"), ATTEMPTS);
+    // One id per attempt was consumed: the next agent gets the one after.
+    let next = net.inject_source(workload::BLINK_AGENT).unwrap();
+    assert_eq!(next, AgentId(id.0 + ATTEMPTS as u16 + 1));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! workload clears the verifier on a live network.
 
 use agilla::testbed::{Testbed, TrialStep};
-use agilla::{workload, AgillaConfig, AgillaError, AgillaNetwork};
+use agilla::{workload, AdmissionReason, AgillaConfig, AgillaError, AgillaNetwork};
 use wsn_common::Location;
 
 fn build(verify: bool) -> AgillaNetwork {
@@ -68,4 +68,47 @@ fn try_inject_counts_unverifiable_arrivals_as_rejected() {
     );
     assert_eq!(trial.rejected.total(), 2);
     assert_eq!(trial.agents.len(), 1, "the verified arrival was admitted");
+}
+
+#[test]
+fn repeated_arrivals_get_the_first_arrivals_verdict() {
+    // A network assembles and verifies each distinct program once and keeps
+    // only successes, so every repeat must still see exactly the outcome,
+    // error and refusal order of a first arrival.
+    let mut net = build(true);
+    for _ in 0..2 {
+        let err = net.inject_source("frobnicate 3\nhalt").unwrap_err();
+        assert!(matches!(err, AgillaError::BadAgent(_)), "{err}");
+        let err = net.inject_source("pop\nhalt").unwrap_err();
+        assert!(
+            matches!(err, AgillaError::Unverifiable { pc: 0, .. }),
+            "{err}"
+        );
+        let code = agilla_vm::asm::assemble("add\nhalt").unwrap().into_code();
+        let err = net.inject_at(net.base(), code).unwrap_err();
+        assert!(matches!(err, AgillaError::Unverifiable { .. }), "{err}");
+    }
+    // The same program fills the base station's four slots, each copy with
+    // the same code, then is refused for want of a slot.
+    let ids: Vec<_> = (0..4)
+        .map(|_| net.inject_source(workload::BLINK_AGENT).unwrap())
+        .collect();
+    let code = net.agent_state(ids[0]).unwrap().code().to_vec();
+    for id in &ids {
+        assert_eq!(net.agent_state(*id).unwrap().code(), code.as_slice());
+    }
+    let no_slots = |e: &AgillaError| {
+        matches!(
+            e,
+            AgillaError::Admission {
+                reason: AdmissionReason::NoSlots
+            }
+        )
+    };
+    let full = net.inject_source(workload::BLINK_AGENT).unwrap_err();
+    assert!(no_slots(&full), "{full}");
+    // On a full mote the slot check still comes first, as on a first
+    // arrival: unverifiable code is refused for the slot, not the code.
+    let err = net.inject_source("pop\nhalt").unwrap_err();
+    assert!(no_slots(&err), "{err}");
 }

@@ -21,19 +21,22 @@ pub fn reached(here: Location, dest: Location, epsilon: u16) -> bool {
 /// remaining distance; ties break on node id for determinism. `None` means a
 /// local minimum (or no neighbors) — the packet cannot make progress.
 ///
-/// This is the allocation-free hot path (it runs per message per hop) and
+/// This is the allocation-free hot path (it runs per message per hop): it
+/// takes the neighbors as any iterator, such as
+/// [`AcquaintanceList::iter_live`](crate::AcquaintanceList::iter_live), and
 /// always equals the head of [`next_hop_candidates`].
 pub fn next_hop(
     here: Location,
-    neighbors: &[(NodeId, Location)],
+    neighbors: impl IntoIterator<Item = (NodeId, Location)>,
     dest: Location,
 ) -> Option<NodeId> {
     let my_dist = here.distance_sq(dest);
     neighbors
-        .iter()
-        .filter(|(_, loc)| loc.distance_sq(dest) < my_dist)
-        .min_by_key(|(node, loc)| (loc.distance_sq(dest), *node))
-        .map(|(node, _)| *node)
+        .into_iter()
+        .map(|(node, loc)| (loc.distance_sq(dest), node))
+        .filter(|&(dist, _)| dist < my_dist)
+        .min()
+        .map(|(_, node)| node)
 }
 
 /// All neighbors that make geographic progress toward `dest`, ordered
@@ -73,12 +76,12 @@ mod tests {
         let neighbors = [nb(2, 2, 1), nb(6, 1, 2)];
         // Destination (5,1): (2,1) is closer than (1,2).
         assert_eq!(
-            next_hop(here, &neighbors, Location::new(5, 1)),
+            next_hop(here, neighbors, Location::new(5, 1)),
             Some(NodeId(2))
         );
         // Destination (1,5): (1,2) wins.
         assert_eq!(
-            next_hop(here, &neighbors, Location::new(1, 5)),
+            next_hop(here, neighbors, Location::new(1, 5)),
             Some(NodeId(6))
         );
     }
@@ -88,15 +91,12 @@ mod tests {
         let here = Location::new(1, 1);
         // Both neighbors are farther from the destination than we are.
         let neighbors = [nb(2, 0, 1), nb(3, 1, 0)];
-        assert_eq!(next_hop(here, &neighbors, Location::new(5, 1)), None);
+        assert_eq!(next_hop(here, neighbors, Location::new(5, 1)), None);
     }
 
     #[test]
     fn no_neighbors_no_hop() {
-        assert_eq!(
-            next_hop(Location::new(0, 0), &[], Location::new(1, 1)),
-            None
-        );
+        assert_eq!(next_hop(Location::new(0, 0), [], Location::new(1, 1)), None);
     }
 
     #[test]
@@ -105,7 +105,7 @@ mod tests {
         // Two neighbors equidistant from the destination (2,0): (1,1) & (1,-1).
         let neighbors = [nb(9, 1, 1), nb(4, 1, -1)];
         assert_eq!(
-            next_hop(here, &neighbors, Location::new(2, 0)),
+            next_hop(here, neighbors, Location::new(2, 0)),
             Some(NodeId(4))
         );
     }
@@ -119,7 +119,7 @@ mod tests {
         let plan = next_hop_candidates(here, &neighbors, dest);
         assert_eq!(plan, vec![NodeId(2), NodeId(8)]);
         assert_eq!(
-            next_hop(here, &neighbors, dest),
+            next_hop(here, neighbors, dest),
             Some(NodeId(2)),
             "head of the plan"
         );
@@ -161,7 +161,8 @@ mod tests {
                     id += 1;
                 }
             }
-            let hop = next_hop(here, &neighbors, dest).expect("greedy stuck on a full grid");
+            let hop = next_hop(here, neighbors.iter().copied(), dest)
+                .expect("greedy stuck on a full grid");
             here = neighbors[hop.index()].1;
             hops += 1;
             assert!(hops <= 8, "route is too long");
@@ -185,10 +186,32 @@ mod tests {
                 .enumerate()
                 .map(|(i, (x, y))| (NodeId(i as u16), Location::new(*x, *y)))
                 .collect();
-            if let Some(n) = next_hop(here, &neighbors, dest) {
+            if let Some(n) = next_hop(here, neighbors.iter().copied(), dest) {
                 let chosen = neighbors.iter().find(|(id, _)| *id == n).unwrap().1;
                 prop_assert!(chosen.distance_sq(dest) < here.distance_sq(dest));
             }
+        }
+
+        /// `next_hop` is the head of `next_hop_candidates`, ties included:
+        /// ids repeat across neighbors and locations collide, so equal
+        /// distances and equal ids both occur.
+        #[test]
+        fn prop_next_hop_heads_the_candidates(
+            hx in -4i16..4, hy in -4i16..4,
+            dx in -4i16..4, dy in -4i16..4,
+            nbrs in proptest::collection::vec(((0u16..6), (-4i16..4), (-4i16..4)), 0..10),
+        ) {
+            let here = Location::new(hx, hy);
+            let dest = Location::new(dx, dy);
+            let neighbors: Vec<_> = nbrs
+                .iter()
+                .map(|&(id, x, y)| (NodeId(id), Location::new(x, y)))
+                .collect();
+            let plan = next_hop_candidates(here, &neighbors, dest);
+            prop_assert_eq!(
+                next_hop(here, neighbors.iter().copied(), dest),
+                plan.first().copied()
+            );
         }
     }
 }

@@ -103,9 +103,17 @@ impl AcquaintanceList {
         Some(live[rng.index(live.len())].loc)
     }
 
-    /// All live `(node, location)` pairs, for the routing layer.
+    /// The live `(node, location)` pairs in location order, without
+    /// collecting them: what [`next_hop`](crate::next_hop) consumes on the
+    /// per-message routing path.
+    pub fn iter_live(&self, now: SimTime) -> impl Iterator<Item = (NodeId, Location)> + '_ {
+        self.prune(now).map(|e| (e.node, e.loc))
+    }
+
+    /// All live `(node, location)` pairs, for the routing layer's failover
+    /// plans ([`next_hop_candidates`](crate::next_hop_candidates)).
     pub fn live(&self, now: SimTime) -> Vec<(NodeId, Location)> {
-        self.prune(now).map(|e| (e.node, e.loc)).collect()
+        self.iter_live(now).collect()
     }
 
     /// The node id currently claiming a location, if any (link addressing).
@@ -194,6 +202,34 @@ mod tests {
         assert_eq!(l.node_at(Location::new(3, 3), t(0)), Some(NodeId(4)));
         assert_eq!(l.node_at(Location::new(9, 9), t(0)), None);
         assert_eq!(l.live(t(0)), vec![(NodeId(4), Location::new(3, 3))]);
+    }
+
+    #[test]
+    fn iter_live_yields_exactly_live_in_order() {
+        let mut l = list();
+        l.heard(NodeId(7), Location::new(3, 1), t(0));
+        l.heard(NodeId(2), Location::new(1, 1), t(2));
+        l.heard(NodeId(5), Location::new(2, 2), t(0));
+        l.heard(NodeId(4), Location::new(1, 3), t(2));
+        // At t=2 all four are live, in location order.
+        let all: Vec<_> = l.iter_live(t(2)).collect();
+        assert_eq!(all, l.live(t(2)));
+        assert_eq!(
+            all.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
+            vec![NodeId(2), NodeId(4), NodeId(5), NodeId(7)]
+        );
+        // At t=4 the two heard at t=0 have expired (ttl 3 s).
+        let fresh: Vec<_> = l.iter_live(t(4)).collect();
+        assert_eq!(fresh, l.live(t(4)));
+        assert_eq!(
+            fresh,
+            vec![
+                (NodeId(2), Location::new(1, 1)),
+                (NodeId(4), Location::new(1, 3))
+            ]
+        );
+        assert_eq!(l.iter_live(t(9)).count(), 0);
+        assert!(l.live(t(9)).is_empty());
     }
 
     #[test]
