@@ -12,7 +12,10 @@
 //! `--no-wall`.
 //!
 //! A `BENCH_fig_scale.json` artifact with the same rows (plus rates,
-//! unless suppressed) lands in the working directory.
+//! unless suppressed) lands in the working directory. It also carries the
+//! memory the sweep took, which stdout leaves out: the process's peak
+//! resident set (`peak_rss_kib`, `VmHWM`) and that peak divided over the
+//! largest row's motes (`peak_bytes_per_mote`).
 //!
 //! Usage: `fig_scale [trials] [--threads N] [--no-wall] [--quick]`.
 
@@ -78,6 +81,7 @@ fn main() {
     );
     engine.report("fig_scale");
 
+    let peak_kib = peak_rss_kib();
     let artifact = Json::obj([
         ("family", Json::str("fig_scale")),
         ("trials", Json::int(u64::from(trials))),
@@ -100,9 +104,22 @@ fn main() {
                     .collect(),
             ),
         ),
+        ("peak_rss_kib", peak_kib.map_or(Json::Null, Json::int)),
+        (
+            "peak_bytes_per_mote",
+            peak_kib.map_or(Json::Null, |kib| Json::int(kib * 1024 / big.motes as u64)),
+        ),
     ]);
     match agilla_bench::write_artifact("fig_scale", &artifact) {
         Ok(path) => eprintln!("fig_scale: wrote {}", path.display()),
         Err(e) => eprintln!("fig_scale: artifact not written: {e}"),
     }
+}
+
+/// The process's peak resident set size (`VmHWM` in `/proc/self/status`),
+/// KiB; `None` where that file is missing.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }

@@ -19,8 +19,9 @@ use wsn_sim::SimDuration;
 
 use crate::engine::run_trials_parallel;
 
-/// Mote counts swept by default (32² and 100² grids). 100k-scale runs are
-/// opted into with [`FULL_SIZES`] — minutes, not CI material.
+/// Mote counts swept by default (32² and 100² grids). The 100k-mote row
+/// is opted into with [`FULL_SIZES`]; CI runs it too, under a memory
+/// ceiling, in a few seconds.
 pub const DEFAULT_SIZES: [usize; 2] = [1_024, 10_000];
 
 /// Mote counts for `--quick` (and the CI smoke): 16² and 32² grids.
@@ -192,5 +193,62 @@ mod tests {
     fn timed_runs_report_a_wall_rate() {
         let rows = fig_scale(&[100], 1, 3, 0xD157, 1, true);
         assert!(rows[0].sim_per_wall_s.expect("wall timing on") > 0.0);
+    }
+
+    /// Motes pay only for what they do. On a 10×10 beacon field with the
+    /// patrol at one corner, a mote that never hosted an agent has no agent
+    /// slots, and one that also never carried a migration or remote
+    /// operation has no session state, which duplicate lookups do not
+    /// create.
+    #[test]
+    fn motes_the_patrol_never_touches_stay_lean() {
+        use agilla::node::RemoteDedupKey;
+        use agilla::stats::OpRecord;
+        use wsn_common::NodeId;
+
+        let bed = Testbed::new(
+            TopologySpec::custom(Topology::grid(10, 10), LossModel::perfect()),
+            AgillaConfig::default(),
+            0x5CA1E,
+        );
+        let trial = fig_scale_scenario(&bed, 10, 0).execute();
+        let net = &trial.net;
+        let hosts: Vec<NodeId> =
+            net.log()
+                .records()
+                .iter()
+                .filter_map(|r| match r {
+                    OpRecord::AgentInjected { node, .. }
+                    | OpRecord::MigrationArrived { node, .. } => Some(*node),
+                    _ => None,
+                })
+                .collect();
+        // The patrol and the rout travel the bottom row, from the base
+        // corner out to (6, 1) at most.
+        let on_route = |loc: Location| loc.y == 1 && loc.x <= 6;
+        let now = net.now();
+        let mut lean = 0;
+        for id in net.medium().topology().nodes() {
+            let node = net.node(id);
+            if hosts.contains(&id) {
+                assert_eq!(node.slots.len(), net.config().max_agents, "{id} hosted");
+                continue;
+            }
+            assert!(node.slots.is_empty(), "{id} never hosted an agent");
+            if on_route(node.loc) {
+                continue;
+            }
+            assert!(node.sessions().is_none(), "{id} carried no exchange");
+            assert_eq!(node.mig_done(1, NodeId(0), now), None);
+            let key = RemoteDedupKey {
+                origin: NodeId(0),
+                op_id: 1,
+            };
+            assert!(node.cached_reply(key, now).is_none());
+            assert!(node.sessions().is_none(), "{id}: a lookup created state");
+            lean += 1;
+        }
+        assert!(hosts.len() >= 2, "the patrol ran");
+        assert!(lean >= 90, "only {lean} of 100 motes stayed lean");
     }
 }

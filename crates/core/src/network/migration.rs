@@ -6,9 +6,9 @@
 //! [`RetxState`](super::session::RetxState) inside each
 //! [`SenderSession`](crate::node::SenderSession), and receivers answer
 //! duplicates of completed sessions from the TTL'd
-//! [`CompletedCache`](super::session::CompletedCache) on each
-//! [`Node`](crate::node::Node) — the re-ack that keeps a lost final ack from
-//! duplicating an agent.
+//! [`CompletedCache`](super::session::CompletedCache) in each
+//! [`Node`](crate::node::Node)'s [`Sessions`](crate::node::Sessions) — the
+//! re-ack that keeps a lost final ack from duplicating an agent.
 
 use agilla_tuplespace::Reaction;
 use agilla_vm::{AgentState, MigrateKind};
@@ -176,7 +176,7 @@ impl AgillaNetwork {
             copy.set_condition(1);
             let admitted = self.nodes[idx].can_admit(copy.code().len(), &self.config)
                 && self.tenancy_charge_slot(idx, owner)
-                && self.nodes[idx].admit(copy).is_some();
+                && self.nodes[idx].admit(copy, &self.config).is_some();
             if admitted {
                 self.tenancy_inherit(owner, new_id);
             }
@@ -271,7 +271,10 @@ impl AgillaNetwork {
             origin_slot,
             retx: super::session::RetxState::new(),
         };
-        self.nodes[idx].send_sessions.insert(session, s);
+        self.nodes[idx]
+            .sessions_or_create(&self.config)
+            .send_sessions
+            .insert(session, s);
         if origin_slot.is_some() {
             self.metrics.bump(self.ctr.mig_clone_sessions);
         }
@@ -282,7 +285,7 @@ impl AgillaNetwork {
         let node_id = self.nodes[idx].id;
         let my_loc = self.nodes[idx].loc;
         let (payload, am_type, hop, final_dest) = {
-            let Some(s) = self.nodes[idx].send_sessions.get(&session) else {
+            let Some(s) = self.nodes[idx].send_session_mut(session) else {
                 return;
             };
             let payload = match s.next_frag {
@@ -320,7 +323,7 @@ impl AgillaNetwork {
                 session,
             },
         );
-        if let Some(s) = self.nodes[idx].send_sessions.get_mut(&session) {
+        if let Some(s) = self.nodes[idx].send_session_mut(session) {
             s.retx.arm(timer);
         }
     }
@@ -339,7 +342,7 @@ impl AgillaNetwork {
         now: SimTime,
     ) {
         let finished = {
-            let Some(s) = self.nodes[idx].send_sessions.get_mut(&ack.session) else {
+            let Some(s) = self.nodes[idx].send_session_mut(ack.session) else {
                 return;
             };
             if let Some(f) = from {
@@ -394,8 +397,7 @@ impl AgillaNetwork {
     ) {
         if let Some(f) = from {
             let current = self.nodes[idx]
-                .send_sessions
-                .get(&session)
+                .send_session_mut(session)
                 .map(|s| s.next_hop);
             if current != Some(f) {
                 return;
@@ -406,7 +408,7 @@ impl AgillaNetwork {
 
     pub(super) fn handle_mig_retx(&mut self, idx: usize, session: u16, now: SimTime) {
         let verdict = {
-            let Some(s) = self.nodes[idx].send_sessions.get_mut(&session) else {
+            let Some(s) = self.nodes[idx].send_session_mut(session) else {
                 return;
             };
             s.retx.on_timeout(self.config.migration_retx)
@@ -447,7 +449,7 @@ impl AgillaNetwork {
         let my_loc = self.nodes[idx].loc;
         let neighbors = self.nodes[idx].acq.live(now);
         let (previous, next) = {
-            let Some(s) = self.nodes[idx].send_sessions.get_mut(&session) else {
+            let Some(s) = self.nodes[idx].send_session_mut(session) else {
                 return false;
             };
             let previous = s.next_hop;
@@ -474,7 +476,10 @@ impl AgillaNetwork {
 
     fn finish_sender(&mut self, idx: usize, session: u16, now: SimTime) {
         let node_id = self.nodes[idx].id;
-        let Some(s) = self.nodes[idx].send_sessions.remove(&session) else {
+        let Some(s) = self.nodes[idx]
+            .sessions_mut()
+            .and_then(|ss| ss.send_sessions.remove(&session))
+        else {
             return;
         };
         self.tracer
@@ -496,7 +501,10 @@ impl AgillaNetwork {
 
     pub(super) fn fail_sender(&mut self, idx: usize, session: u16, why: &str, now: SimTime) {
         let node_id = self.nodes[idx].id;
-        let Some(mut s) = self.nodes[idx].send_sessions.remove(&session) else {
+        let Some(mut s) = self.nodes[idx]
+            .sessions_mut()
+            .and_then(|ss| ss.send_sessions.remove(&session))
+        else {
             return;
         };
         if let Some(t) = s.retx.take_timer() {
@@ -596,7 +604,7 @@ impl AgillaNetwork {
             && self.tenancy_charge_slot(idx, agent_id)
         {
             let reactions = image.reactions.clone();
-            self.nodes[idx].admit(agent);
+            self.nodes[idx].admit(agent, &self.config);
             for r in reactions {
                 let _ = self.nodes[idx].registry.register(r);
             }
@@ -668,7 +676,7 @@ impl AgillaNetwork {
         let node_id = self.nodes[idx].id;
         let my_loc = self.nodes[idx].loc;
         let is_final = my_loc.matches_within(h.final_dest, self.config.epsilon);
-        if self.nodes[idx].recv_sessions.contains_key(&h.session) {
+        if self.nodes[idx].recv_session_mut(h.session).is_some() {
             // Duplicate header: re-ack.
             self.send_session_ack(idx, h.session, wire::MigSection::State, MigAck::HEADER_SEQ);
             return;
@@ -735,14 +743,17 @@ impl AgillaNetwork {
             last_progress: now,
             abort_timer: Some(abort_timer),
         };
-        self.nodes[idx].recv_sessions.insert(h.session, session);
+        self.nodes[idx]
+            .sessions_or_create(&self.config)
+            .recv_sessions
+            .insert(h.session, session);
         self.send_session_ack(idx, h.session, wire::MigSection::State, MigAck::HEADER_SEQ);
     }
 
     /// Acknowledges a migration message along the session's reply path
     /// (link-local for hop-by-hop, geographic for end-to-end).
     fn send_session_ack(&mut self, idx: usize, session: u16, section: wire::MigSection, seq: u8) {
-        let Some(s) = self.nodes[idx].recv_sessions.get(&session) else {
+        let Some(s) = self.nodes[idx].recv_session_mut(session) else {
             return;
         };
         let (from, origin) = (s.from, s.origin);
@@ -816,7 +827,7 @@ impl AgillaNetwork {
 
     pub(super) fn handle_mig_data(&mut self, idx: usize, from: NodeId, d: MigData, now: SimTime) {
         let complete = {
-            let Some(s) = self.nodes[idx].recv_sessions.get_mut(&d.session) else {
+            let Some(s) = self.nodes[idx].recv_session_mut(d.session) else {
                 // A retransmission for a session this node already completed
                 // means the final ack was lost: re-ack so the sender does not
                 // declare failure and resume a duplicate of an agent that in
@@ -843,7 +854,7 @@ impl AgillaNetwork {
     pub(super) fn handle_mig_abort(&mut self, idx: usize, session: u16, now: SimTime) {
         let node_id = self.nodes[idx].id;
         let (stalled, last_progress, window) = {
-            let Some(s) = self.nodes[idx].recv_sessions.get(&session) else {
+            let Some(s) = self.nodes[idx].recv_session_mut(session) else {
                 return;
             };
             let window = if s.origin.is_none() {
@@ -857,7 +868,9 @@ impl AgillaNetwork {
             (stalled, s.last_progress, window)
         };
         if stalled {
-            self.nodes[idx].recv_sessions.remove(&session);
+            self.nodes[idx]
+                .sessions_mut()
+                .and_then(|ss| ss.recv_sessions.remove(&session));
             self.tracer
                 .record_with(now, Some(node_id), "migrate.rxabort", || {
                     format!("session {session}")
@@ -871,7 +884,7 @@ impl AgillaNetwork {
                     session,
                 },
             );
-            if let Some(s) = self.nodes[idx].recv_sessions.get_mut(&session) {
+            if let Some(s) = self.nodes[idx].recv_session_mut(session) {
                 s.abort_timer = Some(timer);
             }
         }
@@ -879,13 +892,16 @@ impl AgillaNetwork {
 
     fn finish_receiver(&mut self, idx: usize, session: u16, now: SimTime) {
         let node_id = self.nodes[idx].id;
-        let Some(s) = self.nodes[idx].recv_sessions.remove(&session) else {
+        let Some(s) = self.nodes[idx]
+            .sessions_mut()
+            .and_then(|ss| ss.recv_sessions.remove(&session))
+        else {
             return;
         };
         if let Some(t) = s.abort_timer {
             self.queue.cancel(t);
         }
-        self.nodes[idx].cache_mig_done(session, s.from, s.origin, now);
+        self.nodes[idx].cache_mig_done(session, s.from, s.origin, now, &self.config);
         let header = *s.buf.header();
         let (mut agent, reactions) = match s.buf.finish() {
             Ok(v) => v,
@@ -921,7 +937,7 @@ impl AgillaNetwork {
                 // re-arm the runtime's verified-jump assertions for it.
                 agent.mark_verified();
             }
-            self.nodes[idx].admit(agent);
+            self.nodes[idx].admit(agent, &self.config);
             for r in reactions {
                 let _ = self.nodes[idx].registry.register(r);
             }

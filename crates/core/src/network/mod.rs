@@ -631,7 +631,9 @@ impl AgillaNetwork {
         if self.config.verify_on_inject {
             agent.mark_verified();
         }
-        self.nodes[idx].admit(agent).expect("can_admit checked");
+        self.nodes[idx]
+            .admit(agent, &self.config)
+            .expect("can_admit checked");
         if let Some(a) = app {
             self.tenancy.app_of.insert(id, a);
             self.metrics.incr(format!("tenancy.{a}.injected"));

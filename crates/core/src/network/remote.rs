@@ -127,17 +127,20 @@ impl AgillaNetwork {
             return;
         }
 
-        self.nodes[idx].pending_remote.insert(
-            op_id,
-            PendingRemote {
-                request: request.clone(),
-                slot: slot_idx,
-                issued_at: now,
-                last_hop: None,
-                tried_hops: Vec::new(),
-                retx: RetxState::new(),
-            },
-        );
+        self.nodes[idx]
+            .sessions_or_create(&self.config)
+            .pending_remote
+            .insert(
+                op_id,
+                PendingRemote {
+                    request: request.clone(),
+                    slot: slot_idx,
+                    issued_at: now,
+                    last_hop: None,
+                    tried_hops: Vec::new(),
+                    retx: RetxState::new(),
+                },
+            );
         self.set_status(idx, slot_idx, AgentStatus::AwaitingRemote { op_id });
         self.send_rts_request(idx, op_id, now);
     }
@@ -146,7 +149,7 @@ impl AgillaNetwork {
         let node_id = self.nodes[idx].id;
         let my_loc = self.nodes[idx].loc;
         let (payload, dest, tried) = {
-            let Some(p) = self.nodes[idx].pending_remote.get(&op_id) else {
+            let Some(p) = self.nodes[idx].pending_remote_mut(op_id) else {
                 return;
             };
             (p.request.encode(), p.request.dest, p.tried_hops.clone())
@@ -158,7 +161,7 @@ impl AgillaNetwork {
                 op_id,
             },
         );
-        if let Some(p) = self.nodes[idx].pending_remote.get_mut(&op_id) {
+        if let Some(p) = self.nodes[idx].pending_remote_mut(op_id) {
             p.retx.arm(timer);
         }
         // Without failover history this is exactly `next_hop` (the head of
@@ -174,7 +177,7 @@ impl AgillaNetwork {
         };
         match hop {
             Some(hop) => {
-                if let Some(p) = self.nodes[idx].pending_remote.get_mut(&op_id) {
+                if let Some(p) = self.nodes[idx].pending_remote_mut(op_id) {
                     p.last_hop = Some(hop);
                 }
                 let msg = wire::message(am::RTS_REQ, payload);
@@ -196,7 +199,7 @@ impl AgillaNetwork {
 
     pub(super) fn handle_remote_timeout(&mut self, idx: usize, op_id: u16, now: SimTime) {
         let verdict = {
-            let Some(p) = self.nodes[idx].pending_remote.get_mut(&op_id) else {
+            let Some(p) = self.nodes[idx].pending_remote_mut(op_id) else {
                 return;
             };
             p.retx.on_timeout(self.config.remote_op_retx)
@@ -210,7 +213,10 @@ impl AgillaNetwork {
                 if self.config.hop_failover && self.failover_remote(idx, op_id, now) {
                     return;
                 }
-                let Some(p) = self.nodes[idx].pending_remote.remove(&op_id) else {
+                let Some(p) = self.nodes[idx]
+                    .sessions_mut()
+                    .and_then(|ss| ss.pending_remote.remove(&op_id))
+                else {
                     return;
                 };
                 self.complete_remote(
@@ -247,7 +253,7 @@ impl AgillaNetwork {
         let my_loc = self.nodes[idx].loc;
         let neighbors = self.nodes[idx].acq.live(now);
         {
-            let Some(p) = self.nodes[idx].pending_remote.get_mut(&op_id) else {
+            let Some(p) = self.nodes[idx].pending_remote_mut(op_id) else {
                 return false;
             };
             let Some(last) = p.last_hop else {
@@ -345,7 +351,7 @@ impl AgillaNetwork {
                     success,
                     tuple,
                 };
-                self.nodes[idx].cache_reply(key, reply.clone(), now);
+                self.nodes[idx].cache_reply(key, reply.clone(), now, &self.config);
                 self.tracer
                     .record_with(now, Some(node_id), "remote.serve", || {
                         format!("op{}", req.op_id)
@@ -405,7 +411,10 @@ impl AgillaNetwork {
     }
 
     fn deliver_rts_reply(&mut self, idx: usize, reply: RtsReply, now: SimTime) {
-        let Some(mut p) = self.nodes[idx].pending_remote.remove(&reply.op_id) else {
+        let Some(mut p) = self.nodes[idx]
+            .sessions_mut()
+            .and_then(|ss| ss.pending_remote.remove(&reply.op_id))
+        else {
             return; // late duplicate; the operation already completed
         };
         if let Some(t) = p.retx.take_timer() {

@@ -149,7 +149,52 @@ pub struct MigDonePath {
     pub origin: Option<Location>,
 }
 
+/// A mote's protocol-session state: open migration and remote-op sessions,
+/// plus the completed-exchange caches that answer duplicates. Only motes
+/// that originate, relay or serve a protocol exchange ever hold one; a
+/// [`Node`] creates it on the first write.
+#[derive(Debug)]
+pub struct Sessions {
+    /// Outbound migration sessions by session id.
+    pub(crate) send_sessions: HashMap<u16, SenderSession>,
+    /// Inbound migration sessions by session id.
+    pub(crate) recv_sessions: HashMap<u16, ReceiverSession>,
+    /// Pending remote operations by op id.
+    pub(crate) pending_remote: HashMap<u16, PendingRemote>,
+    /// Recently served remote operations, for duplicate-request replies.
+    /// TTL'd over the initiator's full retransmit window
+    /// ([`AgillaConfig::remote_reply_ttl`]): a retransmitted request whose
+    /// first execution already happened is answered from here rather than
+    /// re-executed, which is what makes `rout` exactly-once.
+    pub(crate) reply_cache: CompletedCache<RemoteDedupKey, RtsReply>,
+    /// Recently completed inbound migration sessions. A data retransmission
+    /// for one of these means the final ack was lost; re-acking from this
+    /// cache stops the sender from declaring failure and resuming a
+    /// duplicate of an agent that already arrived. Entries expire
+    /// ([`AgillaConfig::migration_done_ttl`]) so a wrapped-around session id
+    /// cannot match a stale record and black-hole a genuinely new migration.
+    pub(crate) mig_done_cache: CompletedCache<u16, MigDonePath>,
+}
+
+impl Sessions {
+    /// Empty session state, with the cache TTLs `config` sets.
+    fn new(config: &AgillaConfig) -> Self {
+        Sessions {
+            send_sessions: HashMap::new(),
+            recv_sessions: HashMap::new(),
+            pending_remote: HashMap::new(),
+            reply_cache: CompletedCache::new(config.remote_reply_ttl()),
+            mig_done_cache: CompletedCache::new(config.migration_done_ttl()),
+        }
+    }
+}
+
 /// One simulated Agilla mote.
+///
+/// A mote pays only for what it does: agent slots exist from its first
+/// admission on, and session state from its first protocol exchange, so
+/// a beacon-field mote that never hosts, relays or serves anything holds
+/// neither.
 #[derive(Debug)]
 pub struct Node {
     /// Simulation identity.
@@ -162,7 +207,9 @@ pub struct Node {
     pub registry: ReactionRegistry,
     /// One-hop neighbor table.
     pub acq: AcquaintanceList,
-    /// Agent slots (fixed count from the config).
+    /// Agent slots: empty until the first admission, which creates all
+    /// [`AgillaConfig::max_agents`] of them at once; never shrunk, so slot
+    /// indices and both cursors behave as if the slots always existed.
     pub slots: Vec<Option<AgentSlot>>,
     /// Round-robin cursor over slots.
     pub rr_cursor: usize,
@@ -180,25 +227,9 @@ pub struct Node {
     pub tx_attempt: u32,
     /// Last LED value an agent displayed.
     pub leds: i16,
-    /// Outbound migration sessions by session id.
-    pub send_sessions: HashMap<u16, SenderSession>,
-    /// Inbound migration sessions by session id.
-    pub recv_sessions: HashMap<u16, ReceiverSession>,
-    /// Pending remote operations by op id.
-    pub pending_remote: HashMap<u16, PendingRemote>,
-    /// Recently served remote operations, for duplicate-request replies.
-    /// TTL'd over the initiator's full retransmit window
-    /// ([`AgillaConfig::remote_reply_ttl`]): a retransmitted request whose
-    /// first execution already happened is answered from here rather than
-    /// re-executed, which is what makes `rout` exactly-once.
-    pub reply_cache: CompletedCache<RemoteDedupKey, RtsReply>,
-    /// Recently completed inbound migration sessions. A data retransmission
-    /// for one of these means the final ack was lost; re-acking from this
-    /// cache stops the sender from declaring failure and resuming a
-    /// duplicate of an agent that already arrived. Entries expire
-    /// ([`AgillaConfig::migration_done_ttl`]) so a wrapped-around session id
-    /// cannot match a stale record and black-hole a genuinely new migration.
-    pub mig_done_cache: CompletedCache<u16, MigDonePath>,
+    /// Protocol-session state, created on the first write; `None` on a
+    /// mote that never took part in a migration or remote operation.
+    sessions: Option<Box<Sessions>>,
     /// Whether the mote has been failed by fault injection: dead nodes send
     /// nothing, receive nothing, and execute nothing.
     pub dead: bool,
@@ -221,7 +252,7 @@ impl Node {
             acq: AcquaintanceList::new(SimDuration::from_micros(
                 3 * config.beacon_period.as_micros() + 500_000,
             )),
-            slots: (0..config.max_agents).map(|_| None).collect(),
+            slots: Vec::new(),
             rr_cursor: 0,
             preempt_cursor: 0,
             engine_scheduled: false,
@@ -229,11 +260,7 @@ impl Node {
             tx_scheduled: false,
             tx_attempt: 0,
             leds: 0,
-            send_sessions: HashMap::new(),
-            recv_sessions: HashMap::new(),
-            pending_remote: HashMap::new(),
-            reply_cache: CompletedCache::new(config.remote_reply_ttl()),
-            mig_done_cache: CompletedCache::new(config.migration_done_ttl()),
+            sessions: None,
             dead: false,
         }
     }
@@ -251,7 +278,12 @@ impl Node {
     /// Whether an agent with `code_len` bytes of code can be admitted:
     /// needs a free slot and enough free instruction blocks.
     pub fn can_admit(&self, code_len: usize, config: &AgillaConfig) -> bool {
-        let free_slot = self.slots.iter().any(Option::is_none);
+        // Before the first admission every slot is free.
+        let free_slot = if self.slots.is_empty() {
+            config.max_agents > 0
+        } else {
+            self.slots.iter().any(Option::is_none)
+        };
         let needed = code_len.div_ceil(config.code_block_bytes);
         let used = self.blocks_used(config.code_block_bytes);
         free_slot && used + needed <= config.code_blocks
@@ -259,7 +291,11 @@ impl Node {
 
     /// Installs an agent into a free slot, returning the slot index.
     /// Callers check [`Node::can_admit`] first; `None` means no free slot.
-    pub fn admit(&mut self, agent: AgentState) -> Option<usize> {
+    /// The first admission creates all `max_agents` slots at once.
+    pub fn admit(&mut self, agent: AgentState, config: &AgillaConfig) -> Option<usize> {
+        if self.slots.is_empty() {
+            self.slots.resize_with(config.max_agents, || None);
+        }
         let idx = self.slots.iter().position(Option::is_none)?;
         self.slots[idx] = Some(AgentSlot::new(agent));
         Some(idx)
@@ -316,17 +352,58 @@ impl Node {
         None
     }
 
+    /// The mote's session state, or `None` if it never had any.
+    pub fn sessions(&self) -> Option<&Sessions> {
+        self.sessions.as_deref()
+    }
+
+    /// Mutable session state for lookups, updates and removals; `None`,
+    /// and nothing created, on a mote that never had any.
+    pub(crate) fn sessions_mut(&mut self) -> Option<&mut Sessions> {
+        self.sessions.as_deref_mut()
+    }
+
+    /// The open outbound migration session `id`, if any.
+    pub(crate) fn send_session_mut(&mut self, id: u16) -> Option<&mut SenderSession> {
+        self.sessions_mut()?.send_sessions.get_mut(&id)
+    }
+
+    /// The open inbound migration session `id`, if any.
+    pub(crate) fn recv_session_mut(&mut self, id: u16) -> Option<&mut ReceiverSession> {
+        self.sessions_mut()?.recv_sessions.get_mut(&id)
+    }
+
+    /// The pending remote operation `op_id`, if any.
+    pub(crate) fn pending_remote_mut(&mut self, op_id: u16) -> Option<&mut PendingRemote> {
+        self.sessions_mut()?.pending_remote.get_mut(&op_id)
+    }
+
+    /// Session state for a write, created on first use with the cache TTLs
+    /// `config` sets.
+    pub(crate) fn sessions_or_create(&mut self, config: &AgillaConfig) -> &mut Sessions {
+        self.sessions
+            .get_or_insert_with(|| Box::new(Sessions::new(config)))
+    }
+
     /// Caches a served remote operation's reply for duplicate requests. The
     /// entry survives the initiator's entire retransmit window (TTL from
     /// [`AgillaConfig::remote_reply_ttl`]); capacity pressure never evicts a
     /// live entry.
-    pub fn cache_reply(&mut self, key: RemoteDedupKey, reply: RtsReply, now: SimTime) {
-        self.reply_cache.insert(key, reply, now);
+    pub fn cache_reply(
+        &mut self,
+        key: RemoteDedupKey,
+        reply: RtsReply,
+        now: SimTime,
+        config: &AgillaConfig,
+    ) {
+        self.sessions_or_create(config)
+            .reply_cache
+            .insert(key, reply, now);
     }
 
     /// Looks up a live cached reply for a duplicate request.
     pub fn cached_reply(&self, key: RemoteDedupKey, now: SimTime) -> Option<&RtsReply> {
-        self.reply_cache.lookup(&key, now)
+        self.sessions()?.reply_cache.lookup(&key, now)
     }
 
     /// Records a completed inbound migration session for duplicate re-acks.
@@ -336,9 +413,13 @@ impl Node {
         from: NodeId,
         origin: Option<Location>,
         now: SimTime,
+        config: &AgillaConfig,
     ) {
-        self.mig_done_cache
-            .insert(session, MigDonePath { from, origin }, now);
+        self.sessions_or_create(config).mig_done_cache.insert(
+            session,
+            MigDonePath { from, origin },
+            now,
+        );
     }
 
     /// Looks up the reply path of a recently completed inbound migration
@@ -352,7 +433,8 @@ impl Node {
         from: NodeId,
         now: SimTime,
     ) -> Option<(NodeId, Option<Location>)> {
-        self.mig_done_cache
+        self.sessions()?
+            .mig_done_cache
             .lookup(&session, now)
             .filter(|path| path.origin.is_some() || path.from == from)
             .map(|path| (path.from, path.origin))
@@ -363,6 +445,7 @@ impl Node {
 mod tests {
     use super::*;
     use agilla_vm::asm::assemble;
+    use proptest::prelude::*;
 
     fn cfg() -> AgillaConfig {
         AgillaConfig::default()
@@ -381,7 +464,7 @@ mod tests {
         let mut n = node();
         for i in 0..4 {
             assert!(n.can_admit(10, &cfg()), "agent {i}");
-            n.admit(agent(i, 10)).unwrap();
+            n.admit(agent(i, 10), &cfg()).unwrap();
         }
         assert!(!n.can_admit(10, &cfg()), "fifth agent refused: no slot");
         assert_eq!(n.agents().len(), 4);
@@ -391,9 +474,9 @@ mod tests {
     fn admission_respects_code_blocks() {
         let mut n = node();
         // Two agents of 220 bytes = 10 blocks each fill the 20-block budget.
-        n.admit(agent(1, 220)).unwrap();
+        n.admit(agent(1, 220), &cfg()).unwrap();
         assert!(n.can_admit(220, &cfg()));
-        n.admit(agent(2, 220)).unwrap();
+        n.admit(agent(2, 220), &cfg()).unwrap();
         assert_eq!(n.blocks_used(22), 20);
         assert!(!n.can_admit(1, &cfg()), "no blocks left despite free slots");
     }
@@ -401,8 +484,8 @@ mod tests {
     #[test]
     fn evict_frees_slot_and_blocks() {
         let mut n = node();
-        n.admit(agent(1, 220)).unwrap();
-        n.admit(agent(2, 220)).unwrap();
+        n.admit(agent(1, 220), &cfg()).unwrap();
+        n.admit(agent(2, 220), &cfg()).unwrap();
         let slot = n.slot_of(AgentId(1)).unwrap();
         let evicted = n.evict(slot).unwrap();
         assert_eq!(evicted.agent.id(), AgentId(1));
@@ -415,7 +498,10 @@ mod tests {
         let mut n = node();
         let code = assemble("halt").unwrap().into_code();
         for i in 0..3 {
-            n.admit(AgentState::with_code(AgentId(i), code.clone()).unwrap());
+            n.admit(
+                AgentState::with_code(AgentId(i), code.clone()).unwrap(),
+                &cfg(),
+            );
         }
         // All ready: cursor stays within slice, rotates after 4 instructions.
         let first = n.pick_ready(4).unwrap();
@@ -431,7 +517,7 @@ mod tests {
     #[test]
     fn pick_ready_none_when_all_blocked() {
         let mut n = node();
-        n.admit(agent(1, 4)).unwrap();
+        n.admit(agent(1, 4), &cfg()).unwrap();
         n.slots[0].as_mut().unwrap().status = AgentStatus::Waiting;
         assert_eq!(n.pick_ready(4), None);
         assert!(!n.has_ready_agent());
@@ -460,6 +546,7 @@ mod tests {
                 tuple: None,
             },
             now,
+            &cfg(),
         );
         for i in 1..100u16 {
             n.cache_reply(
@@ -471,6 +558,7 @@ mod tests {
                     tuple: None,
                 },
                 now,
+                &cfg(),
             );
         }
         let window_end = now + cfg().remote_reply_ttl();
@@ -499,6 +587,7 @@ mod tests {
                 tuple: None,
             },
             now,
+            &cfg(),
         );
         // Same op id from a *different node* is a different operation.
         assert!(
@@ -517,7 +606,7 @@ mod tests {
     fn mig_done_cache_answers_the_retransmitting_sender() {
         let mut n = node();
         let now = SimTime::ZERO + SimDuration::from_secs(1);
-        n.cache_mig_done(42, NodeId(7), None, now);
+        n.cache_mig_done(42, NodeId(7), None, now, &cfg());
         // The sender whose final ack was lost gets the cached reply path.
         assert_eq!(n.mig_done(42, NodeId(7), now), Some((NodeId(7), None)));
         // A *different* link sender reusing the session id (wrap-around)
@@ -532,7 +621,7 @@ mod tests {
         let mut n = node();
         let now = SimTime::ZERO + SimDuration::from_secs(1);
         let origin = Some(Location::new(0, 1));
-        n.cache_mig_done(5, NodeId(2), origin, now);
+        n.cache_mig_done(5, NodeId(2), origin, now, &cfg());
         // End-to-end duplicates can be georouted in via a different last
         // hop, so the match is on session alone.
         assert_eq!(n.mig_done(5, NodeId(3), now), Some((NodeId(2), origin)));
@@ -542,7 +631,7 @@ mod tests {
     fn mig_done_cache_entries_expire() {
         let mut n = node();
         let done_at = SimTime::ZERO + SimDuration::from_secs(1);
-        n.cache_mig_done(42, NodeId(7), None, done_at);
+        n.cache_mig_done(42, NodeId(7), None, done_at, &cfg());
         let within = done_at + cfg().migration_done_ttl();
         assert!(
             n.mig_done(42, NodeId(7), within).is_some(),
@@ -561,11 +650,149 @@ mod tests {
         let mut n = node();
         let now = SimTime::ZERO + SimDuration::from_secs(1);
         for s in 0..100u16 {
-            n.cache_mig_done(s, NodeId(7), None, now);
+            n.cache_mig_done(s, NodeId(7), None, now, &cfg());
         }
         assert!(
             n.mig_done(0, NodeId(7), now).is_some(),
             "no capacity eviction inside the retransmit window"
         );
+    }
+
+    #[test]
+    fn a_fresh_mote_has_no_slots_and_no_session_state() {
+        let n = node();
+        assert!(n.slots.is_empty());
+        assert!(n.sessions().is_none());
+        assert!(
+            n.can_admit(10, &cfg()),
+            "every slot is free before any admission"
+        );
+        let none = AgillaConfig {
+            max_agents: 0,
+            ..cfg()
+        };
+        assert!(!n.can_admit(10, &none), "no slot to be free");
+    }
+
+    #[test]
+    fn the_first_admission_creates_every_slot_for_good() {
+        let mut n = node();
+        assert_eq!(n.admit(agent(1, 10), &cfg()), Some(0));
+        assert_eq!(n.slots.len(), cfg().max_agents);
+        n.evict(0).unwrap();
+        assert_eq!(n.slots.len(), cfg().max_agents, "slots are never dropped");
+    }
+
+    #[test]
+    fn session_lookups_do_not_create_session_state() {
+        let mut n = node();
+        let now = SimTime::ZERO + SimDuration::from_secs(1);
+        assert_eq!(n.mig_done(1, NodeId(2), now), None);
+        assert!(n.cached_reply(key(2, 1), now).is_none());
+        assert!(n.send_session_mut(1).is_none());
+        assert!(n.recv_session_mut(1).is_none());
+        assert!(n.pending_remote_mut(1).is_none());
+        assert!(
+            n.sessions().is_none(),
+            "lookups answered none, created nothing"
+        );
+        n.cache_mig_done(1, NodeId(2), None, now, &cfg());
+        let s = n.sessions().expect("the first write creates the state");
+        assert_eq!(s.reply_cache.ttl(), cfg().remote_reply_ttl());
+        assert_eq!(s.mig_done_cache.ttl(), cfg().migration_done_ttl());
+    }
+
+    /// Per-mote memory ratchet: every mote of a field pays this, so it sets
+    /// the slope of the peak-RSS column in EXPERIMENTS.md's Scale table.
+    /// It was 480 B while the session tables lived inline.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn node_size_ratchet() {
+        let size = std::mem::size_of::<Node>();
+        assert!(size <= 320, "size_of::<Node>() grew to {size} B");
+    }
+
+    /// A node whose `max_agents` slots exist from the start, as every node's
+    /// did before slots were created at the first admission.
+    fn eager_node(config: &AgillaConfig) -> Node {
+        let mut n = Node::new(NodeId(1), Location::new(1, 1), config);
+        n.slots = (0..config.max_agents).map(|_| None).collect();
+        n
+    }
+
+    fn status(pick: u16) -> AgentStatus {
+        match pick % 6 {
+            0 => AgentStatus::Ready,
+            1 => AgentStatus::Sleeping {
+                until: SimTime::ZERO + SimDuration::from_micros(u64::from(pick)),
+            },
+            2 => AgentStatus::Waiting,
+            3 => AgentStatus::Blocked,
+            4 => AgentStatus::AwaitingRemote { op_id: pick },
+            _ => AgentStatus::InMigration,
+        }
+    }
+
+    proptest! {
+        /// Slots created at the first admission behave exactly like slots
+        /// that always existed. Random admissions (code-block exhaustion
+        /// while slots are free included), evictions, status changes and
+        /// round-robin picks get the same answers from both nodes.
+        #[test]
+        fn prop_slots_created_on_first_admission_match_eager_slots(
+            max_agents in 0usize..=5,
+            ops in prop::collection::vec((0u8..6, 0u16..400, 0u16..12), 1..80),
+        ) {
+            let config = AgillaConfig {
+                max_agents,
+                ..AgillaConfig::default()
+            };
+            let mut lazy = Node::new(NodeId(1), Location::new(1, 1), &config);
+            let mut eager = eager_node(&config);
+            let mut next_id = 1u16;
+            for (kind, a, b) in ops {
+                match kind {
+                    // 0: admission as the network does it, asking first;
+                    // 1: an unconditional `admit`.
+                    0 | 1 => {
+                        let len = usize::from(a);
+                        let asked = lazy.can_admit(len, &config);
+                        prop_assert_eq!(asked, eager.can_admit(len, &config));
+                        if asked || kind == 1 {
+                            let idx = lazy.admit(agent(next_id, len), &config);
+                            prop_assert_eq!(idx, eager.admit(agent(next_id, len), &config));
+                            next_id += 1;
+                        }
+                    }
+                    2 => {
+                        let slot = usize::from(b) % (max_agents + 1);
+                        prop_assert_eq!(
+                            lazy.evict(slot).map(|s| s.agent.id()),
+                            eager.evict(slot).map(|s| s.agent.id())
+                        );
+                    }
+                    3 => {
+                        for n in [&mut lazy, &mut eager] {
+                            if let Some(Some(s)) = n.slots.get_mut(usize::from(b)) {
+                                s.status = status(a);
+                            }
+                        }
+                    }
+                    _ => {
+                        let slice = u32::from(b % 4) + 1;
+                        let picked = lazy.pick_ready(slice);
+                        prop_assert_eq!(picked, eager.pick_ready(slice));
+                        // The engine runs one instruction of the pick.
+                        if let Some(i) = picked {
+                            for n in [&mut lazy, &mut eager] {
+                                n.slots[i].as_mut().expect("picked").slice_used += 1;
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(lazy.agents(), eager.agents());
+                prop_assert_eq!(lazy.rr_cursor, eager.rr_cursor);
+            }
+        }
     }
 }

@@ -36,6 +36,8 @@
 //! assert!(trial.net.log().remote_ops_of(trial.agents[0]).len() <= 1);
 //! ```
 
+use std::sync::Arc;
+
 use agilla_tenancy::{AppId, AppProfile};
 use wsn_common::{AgentId, Location};
 use wsn_radio::{LossModel, MotionPlan, Topology};
@@ -57,11 +59,13 @@ pub enum TopologySpec {
     Reliable5x5,
     /// A lossless line of `n` motes (quiet-link micro-measurements).
     ReliableLine(i16),
-    /// Any other substrate. The topology is boxed so this spec enum stays
-    /// small to clone per trial — a `Topology` carries its whole `CellGrid`.
+    /// Any other substrate. The topology is shared: every scenario and
+    /// trial spec cloned from this one points at the same `Topology` (which
+    /// carries its whole `CellGrid`), and only building a network copies
+    /// it, because the network's radio medium mutates its own.
     Custom {
         /// Node placement and connectivity.
-        topology: Box<Topology>,
+        topology: Arc<Topology>,
         /// Link loss model.
         loss: LossModel,
     },
@@ -71,7 +75,7 @@ impl TopologySpec {
     /// A [`TopologySpec::Custom`] from any topology and loss model.
     pub fn custom(topology: Topology, loss: LossModel) -> Self {
         TopologySpec::Custom {
-            topology: Box::new(topology),
+            topology: Arc::new(topology),
             loss,
         }
     }

@@ -713,3 +713,73 @@ fn preemption_victims_rotate_round_robin_across_equal_priority_residents() {
         "the refilled slot is spared until the cursor wraps"
     );
 }
+
+/// A sleeper padded with no-op pairs to exactly `blocks` 22-byte code
+/// blocks.
+fn padded_sleeper(blocks: usize) -> String {
+    let mut body = String::from("pushcl 4000\nsleep\n");
+    loop {
+        let src = format!("{body}halt");
+        let len = agilla_vm::asm::assemble(&src).unwrap().into_code().len();
+        if len.div_ceil(22) == blocks {
+            return src;
+        }
+        body.push_str("pushc 1\npop\n");
+    }
+}
+
+#[test]
+fn preemption_with_free_slots_but_full_code_blocks_pins_its_victims() {
+    use agilla::{AdmissionReason, AgillaError, AppId, AppProfile, Priority};
+    let mut net = reliable();
+    net.register_app(AppProfile::new(AppId(1), "habitat").priority(Priority::Low));
+    net.register_app(AppProfile::new(AppId(2), "fire").priority(Priority::High));
+    let base = net.base();
+    let (b10, b9) = (padded_sleeper(10), padded_sleeper(9));
+    let small = "pushcl 4000\nsleep\nhalt";
+    // Two 10-block residents fill the 20 code blocks with two of the four
+    // slots still free.
+    let l1 = net.inject_source_as(&b10, AppId(1)).unwrap();
+    let l2 = net.inject_source_as(&b10, AppId(1)).unwrap();
+    net.run_for(SimDuration::from_secs(1));
+    assert_eq!(net.node(base).agents(), vec![l1, l2]);
+    assert!(
+        !net.node(base).can_admit(1, net.config()),
+        "code blocks full"
+    );
+    // So preemption fires while fewer than `max_agents` agents are
+    // resident: slot 0 goes, and the arrival halts at once.
+    let h1 = net.inject_source_as("halt", AppId(2)).unwrap();
+    net.run_for(SimDuration::from_secs(1));
+    assert!(net.log().halted_at(h1).is_some());
+    // More admissions follow: a refill of slot 0, a small arrival that
+    // preempts slot 1 (the cursor's next), a 9-block resident in slot 2,
+    // and another small arrival. The cursor now stands at slot 2, so that
+    // resident is the victim, not slot 0's: the cursor counts all four
+    // slots even while only two were ever occupied.
+    let l3 = net.inject_source_as(&b10, AppId(1)).unwrap();
+    let h2 = net.inject_source_as(small, AppId(2)).unwrap();
+    let l4 = net.inject_source_as(&b9, AppId(1)).unwrap();
+    let h3 = net.inject_source_as(small, AppId(2)).unwrap();
+    assert!(matches!(
+        net.inject_source_as(&b10, AppId(1)),
+        Err(AgillaError::Admission {
+            reason: AdmissionReason::NoSlots
+        })
+    ));
+    net.run_for(SimDuration::from_secs(1));
+    let victims: Vec<AgentId> = net
+        .log()
+        .evictions()
+        .into_iter()
+        .map(|(agent, _, _)| agent)
+        .collect();
+    assert_eq!(victims, vec![l1, l2, l4]);
+    let layout: Vec<Option<AgentId>> = net
+        .node(base)
+        .slots
+        .iter()
+        .map(|s| s.as_ref().map(|s| s.agent.id()))
+        .collect();
+    assert_eq!(layout, vec![Some(l3), Some(h2), Some(h3), None]);
+}
