@@ -950,11 +950,6 @@ impl AgillaNetwork {
         &self.tracer
     }
 
-    /// Echo trace records to stdout as they happen (for examples).
-    pub fn set_trace_echo(&mut self, echo: bool) {
-        self.tracer.set_echo(echo);
-    }
-
     /// Enables or disables diagnostic trace capture (on by default; see
     /// [`Tracer::set_capture`]). The [`crate::testbed`] trial driver turns
     /// it off: figure measurements come from the experiment log and the

@@ -597,8 +597,6 @@ pub struct ScenarioSpec {
     /// Clear the experiment log at this offset, separating setup from
     /// measurement (the declarative form of [`TrialStep::ClearLog`]).
     pub measure_from: Option<SimDuration>,
-    /// Keep diagnostic trace capture on (off by default for trials).
-    pub diagnostics: bool,
 }
 
 impl Testbed {
@@ -619,7 +617,6 @@ impl Testbed {
             motion: MotionPlan::new(),
             clients: Vec::new(),
             measure_from: None,
-            diagnostics: false,
         }
     }
 }
@@ -708,13 +705,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn with_env(mut self, env: Environment) -> Self {
         self.env = env;
-        self
-    }
-
-    /// Keeps diagnostic trace capture on (off by default for trials).
-    #[must_use]
-    pub fn diagnostics(mut self, on: bool) -> Self {
-        self.diagnostics = on;
         self
     }
 
@@ -857,7 +847,6 @@ impl ScenarioSpec {
             steps,
             motion: self.motion.clone(),
             clients: self.clients.clone(),
-            diagnostics: self.diagnostics,
         }
     }
 
@@ -916,7 +905,6 @@ impl ScenarioSpec {
             steps: Vec::new(),
             motion: self.motion.clone(),
             clients: Vec::new(),
-            diagnostics: self.diagnostics,
         }
         .build()
     }

@@ -13,10 +13,9 @@
 //! threads and merges results in spec order, byte-identical to the serial
 //! path.
 //!
-//! Trials run with diagnostic trace capture off (see
-//! [`TrialSpec::diagnostics`]): measurements come from the experiment log
-//! and the metrics registry, and skipping per-record trace formatting is a
-//! measurable win in migration-heavy workloads.
+//! Trials run with diagnostic trace capture off: measurements come from the
+//! experiment log and the metrics registry, and skipping per-record trace
+//! formatting is a measurable win in migration-heavy workloads.
 //!
 //! # Examples
 //!
@@ -149,8 +148,6 @@ pub struct TrialSpec {
     /// one agent outstanding, re-issuing a think time after the previous
     /// one finishes ([`crate::stats::ExperimentLog::finished_at`]).
     pub clients: Vec<ClosedLoop>,
-    /// Keep diagnostic trace capture on (off by default for trials).
-    pub diagnostics: bool,
 }
 
 impl TrialSpec {
@@ -240,13 +237,6 @@ impl TrialSpec {
         self
     }
 
-    /// Keeps diagnostic trace capture on (off by default for trials).
-    #[must_use]
-    pub fn diagnostics(mut self, on: bool) -> Self {
-        self.diagnostics = on;
-        self
-    }
-
     /// Constructs the network without running any steps — for scenarios
     /// that need custom driving (stepped sampling, early exit on a
     /// predicate) on top of the standard substrate.
@@ -281,7 +271,7 @@ impl TrialSpec {
                 self.seed,
             ),
         };
-        net.set_trace_capture(self.diagnostics);
+        net.set_trace_capture(false);
         net.set_motion(&self.motion);
         net
     }
@@ -569,7 +559,6 @@ impl Testbed {
             steps: Vec::new(),
             motion: MotionPlan::new(),
             clients: Vec::new(),
-            diagnostics: false,
         }
     }
 }
@@ -665,6 +654,29 @@ mod tests {
             (1, 1, 1, 1)
         );
         assert_eq!(r.total(), 4);
+    }
+
+    #[test]
+    fn trials_run_with_trace_capture_off() {
+        let config = AgillaConfig::default();
+        let seed = 0x7ACE;
+        for src in [workload::SMOVE_TEST_AGENT, workload::ROUT_TEST_AGENT] {
+            let trial = Testbed::lossy_5x5(config.clone(), seed)
+                .scenario(0)
+                .traffic(crate::scenario::OneShot::at_base(src))
+                .horizon(SimDuration::from_secs(10))
+                .compile()
+                .execute();
+            assert_eq!(trial.agents.len(), 1);
+            assert!(trial.net.trace().is_empty(), "{src}");
+            assert_eq!(trial.net.trace().dropped(), 0, "{src}");
+
+            // The same substrate built by hand keeps the default capture.
+            let mut hand = AgillaNetwork::testbed_5x5(config.clone(), seed);
+            hand.inject_source(src).unwrap();
+            hand.run_for(SimDuration::from_secs(10));
+            assert!(!hand.trace().is_empty(), "{src}");
+        }
     }
 
     #[test]

@@ -1,27 +1,17 @@
 //! Cancellable, deterministic event queue.
 //!
-//! Implemented as a hierarchical calendar queue: a fixed wheel of 256
-//! buckets, each 1024 µs wide, absorbs the
-//! dominant short-horizon timers (engine steps, MAC backoffs, frame
-//! arrivals) with O(1) scheduling, while events beyond the wheel's horizon
-//! wait in an overflow heap and are re-bucketed when the window advances.
-//! Cancellation is O(1) through a slab of generation-tagged slots — no
-//! tombstone set to hash into, and stale entries are compacted away when
-//! they outnumber live ones, so a cancel/reschedule-heavy workload (MAC
+//! A binary min-heap of small `(time, sequence)` keys; payloads live in a
+//! slab of generation-tagged slots. Cancellation is O(1): the slot drops its
+//! payload and bumps its generation, so the key left in the heap goes stale
+//! and is skipped when reached. Stale keys are compacted away once they
+//! outnumber live ones, so a cancel/reschedule-heavy workload (MAC
 //! retransmit timers) cannot grow the queue without bound.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Buckets in the calendar wheel (one window spans ~262 ms of virtual time).
-const WHEEL_BUCKETS: usize = 256;
-/// log2 of the bucket width in microseconds (1024 µs per bucket).
-const BUCKET_SHIFT: u64 = 10;
-/// Wheel horizon in microseconds: events this far past the window base
-/// overflow into the far heap.
-const HORIZON_US: u64 = (WHEEL_BUCKETS as u64) << BUCKET_SHIFT;
 /// Minimum physical size before tombstone compaction is considered.
 const COMPACT_MIN: usize = 128;
 
@@ -46,45 +36,30 @@ impl EventId {
     }
 }
 
-/// One slab slot: the generation tag plus whether an event is pending.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
+/// One slab slot: the generation tag plus the pending event's payload.
+/// The generation is bumped every time the slot is released, so a key or
+/// handle is live only while its generation matches.
+#[derive(Debug)]
+struct Slot<E> {
     generation: u32,
-    pending: bool,
+    payload: Option<E>,
 }
 
-#[derive(Debug)]
-struct Entry<E> {
+/// A heap entry. The derived order compares fields top to bottom, and `seq`
+/// is unique, so keys order by `(at, seq)` alone.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
     slot: u32,
     generation: u32,
-    payload: E,
 }
 
-impl<E> Entry<E> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+impl Key {
+    /// Whether the key's event is still pending: its slot has not been
+    /// released since the key was pushed.
+    fn is_live<E>(&self, slots: &[Slot<E>]) -> bool {
+        slots[self.slot as usize].generation == self.generation
     }
 }
 
@@ -96,8 +71,8 @@ impl<E> Ord for Entry<E> {
 /// `(time, schedule order)`, nothing else.
 ///
 /// Cancellation is O(1): the handle's slab slot is released, and the stale
-/// physical entry is skipped when reached (or swept by compaction before
-/// that, if tombstones come to outnumber live events).
+/// key is skipped when reached (or swept by compaction before that, if
+/// tombstones come to outnumber live events).
 ///
 /// # Examples
 ///
@@ -113,23 +88,10 @@ impl<E> Ord for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Entries of the bucket the cursor points at, sorted by `(at, seq)`.
-    current: VecDeque<Entry<E>>,
-    /// Unsorted future buckets of the active window.
-    wheel: Vec<Vec<Entry<E>>>,
-    /// Occupancy bitmap over `wheel` (bit per bucket).
-    occupied: [u64; WHEEL_BUCKETS / 64],
-    /// Events at or past `base + HORIZON`, ordered by `(at, seq)`.
-    far: BinaryHeap<Reverse<Entry<E>>>,
-    /// Virtual time of bucket 0 of the active window, µs.
-    base_us: u64,
-    /// Bucket index `current` corresponds to.
-    cursor: usize,
-    slots: Vec<Slot>,
+    heap: BinaryHeap<Reverse<Key>>,
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
-    /// Pending (live) events.
-    live: usize,
-    /// Physical entries whose event was cancelled but not yet reached.
+    /// Keys in `heap` whose event was cancelled but not yet reached.
     tombstones: usize,
     next_seq: u64,
     now: SimTime,
@@ -140,15 +102,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            current: VecDeque::new(),
-            wheel: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; WHEEL_BUCKETS / 64],
-            far: BinaryHeap::new(),
-            base_us: 0,
-            cursor: 0,
+            heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            live: 0,
             tombstones: 0,
             next_seq: 0,
             now: SimTime::ZERO,
@@ -177,37 +133,33 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize].pending = true;
+                self.slots[s as usize].payload = Some(payload);
                 s
             }
             None => {
                 self.slots.push(Slot {
                     generation: 0,
-                    pending: true,
+                    payload: Some(payload),
                 });
                 (self.slots.len() - 1) as u32
             }
         };
         let generation = self.slots[slot as usize].generation;
-        self.live += 1;
-        self.place(Entry {
+        self.heap.push(Reverse(Key {
             at,
             seq,
             slot,
             generation,
-            payload,
-        });
+        }));
         EventId::new(slot, generation)
     }
 
     /// Cancels a scheduled event. Returns `true` if the event had not yet
     /// fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let slot = id.slot();
-        match self.slots.get(slot) {
-            Some(s) if s.pending && s.generation == id.generation() => {
-                self.release(slot);
-                self.live -= 1;
+        match self.slots.get(id.slot()) {
+            Some(s) if s.generation == id.generation() => {
+                drop(self.release(id.slot()));
                 self.tombstones += 1;
                 self.maybe_compact();
                 true
@@ -218,207 +170,69 @@ impl<E> EventQueue<E> {
 
     /// Pops the next live event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            while let Some(entry) = self.current.pop_front() {
-                if !self.entry_live(&entry) {
-                    self.tombstones -= 1;
-                    continue;
-                }
-                self.release(entry.slot as usize);
-                self.live -= 1;
-                debug_assert!(entry.at >= self.now, "event queue time regression");
-                self.now = entry.at;
-                self.dispatched += 1;
-                return Some((entry.at, entry.payload));
+        while let Some(Reverse(key)) = self.heap.pop() {
+            if !key.is_live(&self.slots) {
+                self.tombstones -= 1;
+                continue;
             }
-            if !self.advance_window() {
-                // Queue drained: re-anchor the window at the clock so the
-                // window-never-ahead-of-`now` invariant holds for whatever
-                // gets scheduled next.
-                self.base_us = (self.now.as_micros() >> BUCKET_SHIFT) << BUCKET_SHIFT;
-                self.cursor = 0;
-                return None;
-            }
-        }
-    }
-
-    /// Timestamp of the next live event without popping it.
-    ///
-    /// Peeking never promotes a wheel bucket into the current bucket: the
-    /// window must not run ahead of `now` when the caller decides not to
-    /// pop and schedules an earlier event instead. Stale (cancelled)
-    /// entries encountered at the head are discarded on the way, so
-    /// peeking is also how tombstones ahead of the clock get reclaimed
-    /// without waiting for their timestamps.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            match self.current.front() {
-                Some(e) if self.entry_live(e) => return Some(e.at),
-                Some(_) => {
-                    self.current.pop_front();
-                    self.tombstones -= 1;
-                }
-                None => break,
-            }
-        }
-        // The wheel: the lowest occupied bucket holds the next event. Drop
-        // stale entries while scanning so the bucket's emptiness is real.
-        while let Some(b) = self.lowest_occupied() {
-            let slots = &self.slots;
-            let bucket = &mut self.wheel[b];
-            let before = bucket.len();
-            bucket.retain(|e| {
-                let s = slots[e.slot as usize];
-                s.pending && s.generation == e.generation
-            });
-            self.tombstones -= before - bucket.len();
-            if let Some(min) = bucket.iter().map(|e| e.at).min() {
-                return Some(min);
-            }
-            self.clear_occupied(b);
-        }
-        // The far heap: discard stale tops, peek the first live one.
-        while let Some(Reverse(e)) = self.far.peek() {
-            if self.entry_live(e) {
-                return Some(e.at);
-            }
-            self.far.pop();
-            self.tombstones -= 1;
+            let payload = self.release(key.slot as usize);
+            debug_assert!(key.at >= self.now, "event queue time regression");
+            self.now = key.at;
+            self.dispatched += 1;
+            return Some((key.at, payload));
         }
         None
     }
 
-    /// Whether no live events remain. Mutable because peeking discards
-    /// cancelled tombstones (see [`EventQueue::peek_time`]).
-    pub fn has_no_live_events(&mut self) -> bool {
-        self.peek_time().is_none()
+    /// Timestamp of the next live event without popping it.
+    ///
+    /// Stale (cancelled) keys at the head are discarded on the way, so
+    /// peeking is also how tombstones ahead of the clock get reclaimed
+    /// without waiting for their timestamps.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(Reverse(key)) = self.heap.peek() {
+            if key.is_live(&self.slots) {
+                return Some(key.at);
+            }
+            self.heap.pop();
+            self.tombstones -= 1;
+        }
+        None
     }
 
     /// Number of physical entries held, including not-yet-reclaimed
     /// tombstones. Compaction keeps this within 2× the live count (plus a
     /// small constant), so it is a fair memory gauge.
     pub fn len(&self) -> usize {
-        self.live + self.tombstones
+        self.heap.len()
     }
 
     /// Whether the queue holds no entries at all (live or tombstoned).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     // --- internals --------------------------------------------------------
 
-    fn entry_live(&self, e: &Entry<E>) -> bool {
-        let s = self.slots[e.slot as usize];
-        s.pending && s.generation == e.generation
-    }
-
-    /// Frees a slab slot, bumping its generation so outstanding handles and
-    /// stale physical entries can never match a future occupant.
-    fn release(&mut self, slot: usize) {
+    /// Frees a slab slot and hands back its payload, bumping the generation
+    /// so outstanding handles and stale keys can never match a future
+    /// occupant.
+    fn release(&mut self, slot: usize) -> E {
         let s = &mut self.slots[slot];
-        s.pending = false;
         s.generation = s.generation.wrapping_add(1);
         self.free.push(slot as u32);
+        s.payload.take().expect("a live slot holds its payload")
     }
 
-    fn bucket_of(&self, at: SimTime) -> u64 {
-        (at.as_micros() - self.base_us) >> BUCKET_SHIFT
-    }
-
-    fn place(&mut self, entry: Entry<E>) {
-        // `at >= now >= base + cursor * width` (the schedule clamp plus the
-        // window invariant), so the index never lands before the cursor.
-        let idx = self.bucket_of(entry.at);
-        if idx == self.cursor as u64 {
-            let pos = self
-                .current
-                .partition_point(|e| (e.at, e.seq) < (entry.at, entry.seq));
-            self.current.insert(pos, entry);
-        } else if idx < WHEEL_BUCKETS as u64 {
-            self.wheel[idx as usize].push(entry);
-            self.set_occupied(idx as usize);
-        } else {
-            self.far.push(Reverse(entry));
-        }
-    }
-
-    fn set_occupied(&mut self, b: usize) {
-        self.occupied[b / 64] |= 1 << (b % 64);
-    }
-
-    fn clear_occupied(&mut self, b: usize) {
-        self.occupied[b / 64] &= !(1 << (b % 64));
-    }
-
-    fn lowest_occupied(&self) -> Option<usize> {
-        for (w, bits) in self.occupied.iter().enumerate() {
-            if *bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Promotes the next non-empty bucket into `current`, refilling the
-    /// window from the far heap when the wheel runs dry. Returns `false`
-    /// when no physical entries remain anywhere.
-    fn advance_window(&mut self) -> bool {
-        loop {
-            if let Some(b) = self.lowest_occupied() {
-                self.cursor = b;
-                self.clear_occupied(b);
-                let mut bucket = std::mem::take(&mut self.wheel[b]);
-                bucket.sort_unstable_by_key(|e| (e.at, e.seq));
-                debug_assert!(self.current.is_empty());
-                self.current = bucket.into();
-                return true;
-            }
-            if self.far.is_empty() {
-                return false;
-            }
-            // Jump the window to the far heap's earliest entry and pull
-            // everything within one horizon of it back into buckets.
-            let min_at = self.far.peek().map(|Reverse(e)| e.at).expect("non-empty");
-            self.base_us = (min_at.as_micros() >> BUCKET_SHIFT) << BUCKET_SHIFT;
-            self.cursor = 0;
-            let limit = self.base_us + HORIZON_US;
-            while let Some(Reverse(e)) = self.far.peek() {
-                if e.at.as_micros() >= limit {
-                    break;
-                }
-                let Reverse(entry) = self.far.pop().expect("peeked");
-                let idx = self.bucket_of(entry.at) as usize;
-                self.wheel[idx].push(entry);
-                self.set_occupied(idx);
-            }
-        }
-    }
-
-    /// Sweeps stale entries out of every structure once they outnumber the
-    /// live events, bounding memory under cancel-heavy workloads.
+    /// Sweeps stale keys out of the heap once they outnumber the live
+    /// events, bounding memory under cancel-heavy workloads.
     fn maybe_compact(&mut self) {
-        if self.tombstones <= self.live || self.live + self.tombstones < COMPACT_MIN {
+        let len = self.heap.len();
+        if self.tombstones <= len - self.tombstones || len < COMPACT_MIN {
             return;
         }
         let slots = &self.slots;
-        let live_in = |e: &Entry<E>| {
-            let s = slots[e.slot as usize];
-            s.pending && s.generation == e.generation
-        };
-        self.current.retain(|e| live_in(e));
-        for (b, bucket) in self.wheel.iter_mut().enumerate() {
-            bucket.retain(|e| live_in(e));
-            if bucket.is_empty() {
-                self.occupied[b / 64] &= !(1 << (b % 64));
-            }
-        }
-        let far = std::mem::take(&mut self.far).into_vec();
-        self.far = far
-            .into_iter()
-            .filter(|Reverse(e)| live_in(e))
-            .collect::<Vec<_>>()
-            .into();
+        self.heap.retain(|Reverse(key)| key.is_live(slots));
         self.tombstones = 0;
     }
 }
@@ -522,22 +336,21 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_never_promotes_the_window() {
+    fn peek_time_leaves_the_head_queued() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(5), "near");
         q.schedule(SimTime::from_micros(200_000), "mid");
         q.schedule(SimTime::from_micros(3_600_000_000), "far");
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
         assert_eq!(q.pop().map(|(_, e)| e), Some("near"));
-        // The head is now in a future wheel bucket (inside the ~262 ms
-        // horizon). Peeking must not promote it: an event scheduled after
-        // the peek but before the peeked head still pops first.
+        // Peeking must not commit to the head: an event scheduled after the
+        // peek but before the peeked head still pops first.
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(200_000)));
         q.schedule(SimTime::from_micros(100_000), "earlier");
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(100_000)));
         assert_eq!(q.pop().map(|(_, e)| e), Some("earlier"));
         assert_eq!(q.pop().map(|(_, e)| e), Some("mid"));
-        // Same for a head that lives in the far heap.
+        // Same for a head an hour away.
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(3_600_000_000)));
         q.schedule(SimTime::from_micros(600_000), "late");
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(600_000)));
@@ -562,9 +375,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_the_wheel_horizon() {
+    fn far_future_events_pop_after_near_ones() {
         let mut q = EventQueue::new();
-        // Beyond one window (262 ms), into the far heap, plus a near event.
+        // An hour-away beacon scheduled before a near and a mid event.
         q.schedule(SimTime::from_micros(3_600_000_000), "beacon");
         q.schedule(SimTime::from_micros(5), "near");
         q.schedule(SimTime::from_micros(500_000), "mid");
@@ -573,7 +386,7 @@ mod tests {
         assert_eq!(q.pop().map(|(_, e)| e), Some("mid"));
         assert_eq!(q.pop().map(|(_, e)| e), Some("beacon"));
         assert_eq!(q.now(), SimTime::from_micros(3_600_000_000));
-        // Scheduling after a long idle jump still works (window re-anchors).
+        // Scheduling in the past after a long idle jump clamps to `now`.
         q.schedule(SimTime::from_micros(1), "clamped");
         let (t, e) = q.pop().unwrap();
         assert_eq!(e, "clamped");
@@ -581,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn fifo_preserved_across_far_heap_refill() {
+    fn fifo_preserved_for_distant_equal_times() {
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(10_000_000);
         for i in 0..50 {
@@ -735,9 +548,9 @@ mod tests {
         /// Random interleavings of schedule / cancel / pop / peek match the
         /// pre-refactor heap queue operation for operation — the contract
         /// every figure's byte-identity rests on. Times spread across three
-        /// orders of magnitude so the wheel, the current bucket, and the far
-        /// heap all participate. A bare peek leaves the head queued, so
-        /// later schedules land between a peek and the pop that follows.
+        /// orders of magnitude, and cancels leave stale keys at every depth
+        /// of the heap. A bare peek leaves the head queued, so later
+        /// schedules land between a peek and the pop that follows.
         #[test]
         fn prop_matches_reference_queue(
             ops in proptest::collection::vec((0u8..5, 0u64..3_000_000), 1..300),

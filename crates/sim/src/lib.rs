@@ -11,8 +11,9 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time
 //!   (MICA2 instruction latencies are tens of microseconds, so µs resolution
 //!   is exact for the paper's measurements).
-//! * [`EventQueue`] — a cancellable priority queue with deterministic FIFO
-//!   tie-breaking for simultaneous events.
+//! * [`EventQueue`] — a binary min-heap of `(time, sequence)` keys with
+//!   deterministic FIFO tie-breaking for simultaneous events, and O(1)
+//!   cancellation through a slab of generation-tagged payload slots.
 //! * [`rng::RngStream`] — named, independently-seeded random streams, so that
 //!   (for example) radio loss draws do not perturb workload draws.
 //! * [`trace::Tracer`] — a bounded structured trace used by tests and benches.

@@ -50,7 +50,6 @@ pub struct Tracer {
     buf: VecDeque<TraceRecord>,
     capacity: usize,
     dropped: u64,
-    echo: bool,
     capture: bool,
 }
 
@@ -74,18 +73,11 @@ impl Tracer {
             buf: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
             dropped: 0,
-            echo: false,
             capture: true,
         }
     }
 
-    /// When set, every record is also printed to stdout as it is recorded.
-    /// Used by the examples to narrate runs.
-    pub fn set_echo(&mut self, echo: bool) {
-        self.echo = echo;
-    }
-
-    /// Enables or disables record capture. With capture off (and echo off),
+    /// Enables or disables record capture. With capture off,
     /// [`Tracer::record_with`] skips both detail formatting and storage —
     /// benchmark drivers run thousands of trials whose results come from the
     /// experiment log and metrics, and per-record `format!` allocations were
@@ -95,9 +87,9 @@ impl Tracer {
         self.capture = capture;
     }
 
-    /// Whether records are currently being retained (or echoed).
+    /// Whether records are currently being retained.
     pub fn is_capturing(&self) -> bool {
-        self.capture || self.echo
+        self.capture
     }
 
     /// Appends a record with an eagerly built detail string.
@@ -112,8 +104,8 @@ impl Tracer {
     }
 
     /// Appends a record, building the detail string only if the trace is
-    /// retained or echoed. Hot paths use this so a capture-disabled run
-    /// pays nothing for diagnostics.
+    /// retained. Hot paths use this so a capture-disabled run pays nothing
+    /// for diagnostics.
     pub fn record_with(
         &mut self,
         at: SimTime,
@@ -121,7 +113,7 @@ impl Tracer {
         kind: &'static str,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.capture && !self.echo {
+        if !self.capture {
             return;
         }
         let rec = TraceRecord {
@@ -130,9 +122,6 @@ impl Tracer {
             kind,
             detail: detail(),
         };
-        if self.echo {
-            println!("{rec}");
-        }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;

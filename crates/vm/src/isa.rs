@@ -397,7 +397,7 @@ impl Opcode {
 /// 75µs. The second class ... around 150µs. The last group ... averaging
 /// 292µs", with `in`/`rd` slightly above their non-blocking versions and
 /// `in` above `rd` (Section 4). These costs drive the engine's virtual
-/// clock; the Criterion bench measures our real execution cost separately.
+/// clock; `fig12_local_ops` measures our real execution cost separately.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Cost of a fired-reaction context switch, µs.
