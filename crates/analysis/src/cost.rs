@@ -2,16 +2,17 @@
 //! path, and the worst-case migration image size.
 //!
 //! The flow graph is condensed into strongly connected components
-//! (iterative Kosaraju), each component is priced once with the MICA2 cost
-//! model, and a longest-path DP over the acyclic condensation yields a
-//! bound that holds for every execution path that does not repeat a loop.
+//! (iterative Kosaraju), each component is priced once with the MICA2
+//! per-instruction costs ([`Opcode::cost_us`](agilla_vm::Opcode::cost_us)),
+//! and a longest-path DP over the acyclic condensation yields a bound that
+//! holds for every execution path that does not repeat a loop.
 //! Cycles are reported via [`CostBounds::has_cycles`] instead of being
 //! unrolled.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use agilla_tuplespace::FieldType;
-use agilla_vm::{CostModel, EnergyClass};
+use agilla_vm::EnergyClass;
 use wsn_radio::energy::{joules, CPU_ACTIVE_MA};
 use wsn_sim::SimDuration;
 
@@ -108,7 +109,6 @@ fn sccs(n: usize, adj: &[Vec<usize>], radj: &[Vec<usize>]) -> Vec<usize> {
 
 /// Computes the cost bounds for a verified program.
 pub(crate) fn cost_bounds(code: &[u8], flow: &Flow) -> CostBounds {
-    let model = CostModel::mica2();
     let nodes: Vec<u16> = flow.insns.keys().copied().collect();
     let idx: BTreeMap<u16, usize> = nodes.iter().enumerate().map(|(i, &p)| (p, i)).collect();
     let n = nodes.len();
@@ -137,7 +137,7 @@ pub(crate) fn cost_bounds(code: &[u8], flow: &Flow) -> CostBounds {
     let mut cyclic = vec![false; ncomp];
     for (i, &p) in nodes.iter().enumerate() {
         let op = flow.insns[&p];
-        let us = model.cost_us(op);
+        let us = op.cost_us();
         let w = &mut weight[comp[i]];
         match op.energy_class() {
             EnergyClass::Cpu => w.cpu_us += us,

@@ -10,6 +10,7 @@
 //! rows lands in the working directory.
 
 use agilla::AgillaConfig;
+use agilla_bench::paper::{FIG10_ROUT_MS, FIG10_SMOVE_MS};
 use agilla_bench::{fig9_fig10, BenchArgs, Json, Table, TrialExecutor};
 
 fn main() {
@@ -21,10 +22,6 @@ fn main() {
     let t0 = std::time::Instant::now();
     let rows = fig9_fig10(trials, 0xF10, &config, args.threads);
     engine.note(10 * trials as usize, t0.elapsed());
-
-    // The paper's curves, read off Fig. 10 (ms).
-    let paper_smove = [225.0, 430.0, 650.0, 870.0, 1080.0];
-    let paper_rout = [55.0, 130.0, 215.0, 300.0, 400.0];
 
     let mut t = Table::new(vec![
         "hops",
@@ -41,10 +38,10 @@ fn main() {
             r.hops.to_string(),
             format!("{:.0}", r.smove_latency_ms),
             format!("{:.0}", r.smove_latency_sd_ms),
-            format!("{:.0}", paper_smove[i]),
+            format!("{:.0}", FIG10_SMOVE_MS[i]),
             format!("{:.0}", r.rout_latency_ms),
             format!("{:.0}", r.rout_latency_sd_ms),
-            format!("{:.0}", paper_rout[i]),
+            format!("{:.0}", FIG10_ROUT_MS[i]),
         ]);
     }
     t.print();

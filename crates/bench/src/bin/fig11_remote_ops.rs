@@ -10,6 +10,7 @@
 //! rows lands in the working directory.
 
 use agilla::AgillaConfig;
+use agilla_bench::paper::FIG11_MS;
 use agilla_bench::{fig11_one_hop, BenchArgs, Json, Table, TrialExecutor};
 
 fn main() {
@@ -22,20 +23,9 @@ fn main() {
     let rows = fig11_one_hop(trials, 0xF11, &config, args.threads);
     engine.note(7 * trials as usize, t0.elapsed());
 
-    // The paper's bars, read off Fig. 11 (ms).
-    let paper = [
-        ("rout", 55.0),
-        ("rinp", 60.0),
-        ("rrdp", 60.0),
-        ("smove", 225.0),
-        ("wmove", 215.0),
-        ("sclone", 240.0),
-        ("wclone", 220.0),
-    ];
-
     let mut t = Table::new(vec!["op", "mean ms", "sd ms", "paper ms", "n"]);
     for r in &rows {
-        let p = paper
+        let p = FIG11_MS
             .iter()
             .find(|(n, _)| *n == r.op.name())
             .map(|(_, v)| *v)

@@ -10,6 +10,7 @@
 //! with the measured rows lands in the working directory.
 
 use agilla::AgillaConfig;
+use agilla_bench::paper::{FIG9_ROUT, FIG9_SMOVE};
 use agilla_bench::{fig9_fig10, BenchArgs, Json, Table, TrialExecutor};
 
 fn main() {
@@ -21,10 +22,6 @@ fn main() {
     let t0 = std::time::Instant::now();
     let rows = fig9_fig10(trials, 0xF19, &config, args.threads);
     engine.note(10 * trials as usize, t0.elapsed());
-
-    // The paper's curves, read off Fig. 9.
-    let paper_smove = [1.00, 0.99, 0.97, 0.95, 0.92];
-    let paper_rout = [0.99, 0.96, 0.90, 0.82, 0.73];
 
     let mut t = Table::new(vec![
         "hops",
@@ -40,9 +37,9 @@ fn main() {
         t.row(vec![
             r.hops.to_string(),
             format!("{:.1}", 100.0 * r.smove_success),
-            format!("{:.0}", 100.0 * paper_smove[i]),
+            format!("{:.0}", 100.0 * FIG9_SMOVE[i]),
             format!("{:.1}", 100.0 * r.rout_success),
-            format!("{:.0}", 100.0 * paper_rout[i]),
+            format!("{:.0}", 100.0 * FIG9_ROUT[i]),
             r.rout_retx.to_string(),
             r.rout_reacks.to_string(),
         ]);

@@ -2,13 +2,12 @@
 //! and 3.59KB of data memory" (Abstract), against the MICA2's 128 KB flash
 //! and 4 KB RAM.
 
-use agilla::{AgillaConfig, MemoryModel};
+use agilla::MemoryModel;
 use agilla_bench::{BenchArgs, Table};
 
 fn main() {
     let _args = BenchArgs::parse(); // uniform CLI: rejects typo'd flags
-    let config = AgillaConfig::default();
-    let model = MemoryModel::for_config(&config);
+    let model = MemoryModel::paper();
     println!("Memory footprint (paper: 41.6 KB code, 3.59 KB data)\n");
     let mut t = Table::new(vec!["component", "code B", "data B"]);
     for line in model.lines() {

@@ -17,7 +17,7 @@ use agilla::{
     Environment, FireModel, Motion, Priority, TenantApp, Testbed, TopologySpec,
 };
 use agilla_vm::exec::{run_to_effect, StepResult, TestHost};
-use agilla_vm::isa::{CostModel, Opcode};
+use agilla_vm::isa::Opcode;
 use agilla_vm::{asm, AgentState};
 use wsn_common::{AgentId, Location};
 use wsn_radio::{Connectivity, EnergyBreakdown, EnergyState, LossModel, Topology};
@@ -454,7 +454,6 @@ fn fig12_programs() -> Vec<(&'static str, Opcode, String)> {
 /// inherently serial (parallel workers would contend for the core and skew
 /// it) and is skipped entirely when `measure_wall` is false.
 pub fn fig12_local_ops_opts(reps: u32, measure_wall: bool) -> Vec<Fig12Row> {
-    let cost = CostModel::mica2();
     fig12_programs()
         .into_iter()
         .map(|(name, op, snippet)| {
@@ -500,7 +499,7 @@ pub fn fig12_local_ops_opts(reps: u32, measure_wall: bool) -> Vec<Fig12Row> {
             });
             Fig12Row {
                 name,
-                model_us: cost.cost_us(op),
+                model_us: op.cost_us(),
                 wall_ns,
             }
         })

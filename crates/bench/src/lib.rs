@@ -13,6 +13,7 @@ pub mod artifact;
 pub mod cli;
 pub mod engine;
 pub mod harness;
+pub mod paper;
 pub mod report;
 pub mod scale;
 

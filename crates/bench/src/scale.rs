@@ -231,7 +231,7 @@ mod tests {
         for id in net.medium().topology().nodes() {
             let node = net.node(id);
             if hosts.contains(&id) {
-                assert_eq!(node.slots.len(), net.config().max_agents, "{id} hosted");
+                assert_eq!(node.slots.len(), agilla::config::MAX_AGENTS, "{id} hosted");
                 continue;
             }
             assert!(node.slots.is_empty(), "{id} never hosted an agent");

@@ -1,4 +1,5 @@
-//! Middleware configuration: the paper's defaults, made explicit.
+//! Middleware configuration: the paper's fixed values as named constants,
+//! and the few settings a workload varies as [`AgillaConfig`].
 
 use wsn_sim::SimDuration;
 
@@ -17,46 +18,89 @@ pub const E2E_ACK_TIMEOUT_FACTOR: u64 = 5;
 /// paper's grid there are at most 3 alternates anyway.
 pub const MAX_HOP_FAILOVERS: usize = 3;
 
-/// Protocol and resource parameters of an Agilla node.
-///
-/// Defaults are the paper's published values; the ablation benches sweep the
-/// interesting ones.
+/// Concurrent agents per node: "By default the agent manager can handle up
+/// to 4 agents" (Section 3.2).
+pub const MAX_AGENTS: usize = 4;
+
+/// Instruction-memory block size: "the instruction manager allocates the
+/// minimum number of 22 byte blocks necessary" (Section 3.2).
+pub const CODE_BLOCK_BYTES: usize = 22;
+
+/// Instruction-memory blocks: "By default, the instruction manager is
+/// allocated 440 bytes (20 blocks)" (Section 3.2).
+pub const CODE_BLOCKS: usize = 20;
+
+/// The code budget in bytes: [`CODE_BLOCKS`] × [`CODE_BLOCK_BYTES`] = 440.
+pub const CODE_BUDGET: usize = CODE_BLOCKS * CODE_BLOCK_BYTES;
+
+/// Tuple-space arena bytes: 600 by default (Section 3.2).
+pub const TUPLE_SPACE_BYTES: usize = 600;
+
+/// Reaction registry budget: 400 bytes / 10 reactions (Section 3.2).
+pub const REACTION_REGISTRY_BYTES: usize = 400;
+
+/// Reaction registry slots (see [`REACTION_REGISTRY_BYTES`]).
+pub const REACTION_REGISTRY_SLOTS: usize = 10;
+
+/// Engine slice: "each agent can execute a fixed number of instructions
+/// before switching context. The default number of instructions is 4"
+/// (Section 3.2).
+pub const ENGINE_SLICE: u32 = 4;
+
+/// Migration ack timeout: "If a one-hop acknowledgement is not received
+/// within 0.1 seconds, the message is retransmitted" (Section 3.2). LPL
+/// widens it ([`AgillaConfig::migration_ack_timeout`]).
+pub const MIGRATION_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(100);
+
+/// Migration retransmissions: "This repeats up for four times"
+/// (Section 3.2).
+pub const MIGRATION_RETX: u32 = 4;
+
+/// Receiver abort: "If the operation stalls for over 0.25 seconds, the
+/// receiver aborts" (Section 3.2). LPL widens it
+/// ([`AgillaConfig::migration_receiver_abort`]).
+pub const MIGRATION_RECEIVER_ABORT: SimDuration = SimDuration::from_millis(250);
+
+/// Remote tuple-space retransmissions: "re-transmits the request at most
+/// twice" (Section 3.2).
+pub const REMOTE_OP_RETX: u32 = 2;
+
+// Software-path costs, calibrated so the simulated operation latencies
+// land on the paper's measurements (≈55 ms one-hop remote tuple-space ops,
+// ≈225 ms one-hop migrations; Figs. 10–11). The `fig10_latency` and
+// `fig11_remote_ops` binaries replay the calibration.
+
+/// Serializing an agent and opening a sender session. Covers the
+/// instruction manager packaging code blocks and the tuple-space manager
+/// packaging reactions (Section 3.2).
+pub const MIGRATION_SENDER_SETUP: SimDuration = SimDuration::from_millis(50);
+
+/// Installing an arrived agent: allocation, reaction re-registration,
+/// scheduling.
+pub const MIGRATION_RECEIVER_RESTORE: SimDuration = SimDuration::from_millis(55);
+
+/// Handling one migration data message at the receiver (copy into the
+/// reassembly buffer, ack turnaround).
+pub const MIGRATION_MSG_HANDLING: SimDuration = SimDuration::from_millis(20);
+
+/// Executing a remote tuple-space request at the destination.
+pub const REMOTE_OP_SERVICE: SimDuration = SimDuration::from_micros(4_200);
+
+/// Gap between a mote finishing one frame and starting the next queued one
+/// (radio turnaround + task latency).
+pub const TX_TURNAROUND: SimDuration = SimDuration::from_micros(1_500);
+
+/// Per-hop software cost of geographically forwarding a remote tuple-space
+/// message at an intermediate node.
+pub const GEOROUTING_FORWARD: SimDuration = SimDuration::from_millis(8);
+
+/// The middleware settings a workload varies. Everything the paper fixes
+/// is a constant of this module instead.
 #[derive(Debug, Clone)]
 pub struct AgillaConfig {
-    /// Concurrent agents per node: "By default the agent manager can handle
-    /// up to 4 agents" (Section 3.2).
-    pub max_agents: usize,
-    /// Instruction-memory block size: "the instruction manager allocates the
-    /// minimum number of 22 byte blocks necessary" (Section 3.2).
-    pub code_block_bytes: usize,
-    /// Instruction-memory blocks: "By default, the instruction manager is
-    /// allocated 440 bytes (20 blocks)" (Section 3.2).
-    pub code_blocks: usize,
-    /// Tuple-space arena bytes: 600 by default (Section 3.2).
-    pub tuple_space_bytes: usize,
-    /// Reaction registry budget: 400 bytes / 10 reactions (Section 3.2).
-    pub reaction_registry_bytes: usize,
-    /// Reaction registry slots.
-    pub reaction_registry_slots: usize,
-    /// Engine slice: "each agent can execute a fixed number of instructions
-    /// before switching context. The default number of instructions is 4"
-    /// (Section 3.2).
-    pub engine_slice: u32,
-    /// Migration ack timeout: "If a one-hop acknowledgement is not received
-    /// within 0.1 seconds, the message is retransmitted" (Section 3.2).
-    pub migration_ack_timeout: SimDuration,
-    /// Migration retransmissions: "This repeats up for four times"
-    /// (Section 3.2).
-    pub migration_retx: u32,
-    /// Receiver abort: "If the operation stalls for over 0.25 seconds, the
-    /// receiver aborts" (Section 3.2).
-    pub migration_receiver_abort: SimDuration,
     /// Remote tuple-space timeout: "the initiator timeouts after 2 seconds"
-    /// (Section 3.2).
+    /// (Section 3.2). LPL widens it ([`AgillaConfig::remote_timeout`]).
     pub remote_op_timeout: SimDuration,
-    /// Remote tuple-space retransmissions: "re-transmits the request at most
-    /// twice" (Section 3.2).
-    pub remote_op_retx: u32,
     /// Location-address matching tolerance ε, grid units (Section 2.2).
     pub epsilon: u16,
     /// Neighbor-beacon period (default [`wsn_net::BEACON_PERIOD`]).
@@ -86,21 +130,49 @@ pub struct AgillaConfig {
     /// figure is byte-identical with it on; `false` restores the paper's
     /// accept-anything behaviour for the fault-injection benches.
     pub verify_on_inject: bool,
-    /// Timing constants for protocol-layer software costs.
-    pub timing: TimingModel,
     /// Energy accounting and duty-cycling; disabled by default, in which
     /// case nothing in the simulation changes by a single bit.
     pub energy: EnergyConfig,
 }
 
 impl AgillaConfig {
-    /// The code budget in bytes (`code_blocks * code_block_bytes`).
-    pub fn code_budget(&self) -> usize {
-        self.code_blocks * self.code_block_bytes
+    /// The low-power-listening check interval in force: set, with energy
+    /// accounting on. A check interval with `energy.enabled == false` is
+    /// inert: `enabled: false` promises no behavioural change.
+    pub(crate) fn lpl_interval(&self) -> Option<SimDuration> {
+        self.energy
+            .lpl_check_interval
+            .filter(|_| self.energy.enabled)
+    }
+
+    /// The B-MAC preamble stretch, µs: the LPL check interval in force, or
+    /// 0. Every stop-and-wait timeout is widened by a multiple of it, so
+    /// duty-cycled runs do not spuriously time out while a frame is still
+    /// (legitimately) in its stretched preamble.
+    fn lpl_stretch_us(&self) -> u64 {
+        self.lpl_interval().map_or(0, SimDuration::as_micros)
+    }
+
+    /// [`MIGRATION_ACK_TIMEOUT`] plus two preamble stretches: each
+    /// acknowledged exchange is one data frame plus one ack frame, both
+    /// stretched.
+    pub fn migration_ack_timeout(&self) -> SimDuration {
+        SimDuration::from_micros(MIGRATION_ACK_TIMEOUT.as_micros() + 2 * self.lpl_stretch_us())
+    }
+
+    /// [`MIGRATION_RECEIVER_ABORT`] plus three preamble stretches.
+    pub fn migration_receiver_abort(&self) -> SimDuration {
+        SimDuration::from_micros(MIGRATION_RECEIVER_ABORT.as_micros() + 3 * self.lpl_stretch_us())
+    }
+
+    /// [`AgillaConfig::remote_op_timeout`] plus ten preamble stretches: a
+    /// remote op crosses up to ~5 hops out and back on the testbed.
+    pub fn remote_timeout(&self) -> SimDuration {
+        SimDuration::from_micros(self.remote_op_timeout.as_micros() + 10 * self.lpl_stretch_us())
     }
 
     /// TTL of the served remote-op reply cache: the initiator's entire
-    /// retransmit window — `remote_op_timeout × (1 + remote_op_retx)` — so a
+    /// retransmit window — `remote_timeout() × (1 + REMOTE_OP_RETX)` — so a
     /// cached reply always outlives every retransmission of the request it
     /// answers. A duplicate `rout` arriving at the end of the window re-acks
     /// from the cache instead of inserting a second tuple, and the entry
@@ -117,20 +189,20 @@ impl AgillaConfig {
             1
         };
         SimDuration::from_micros(
-            self.remote_op_timeout.as_micros() * (u64::from(self.remote_op_retx) + 1) * windows,
+            self.remote_timeout().as_micros() * (u64::from(REMOTE_OP_RETX) + 1) * windows,
         )
     }
 
     /// TTL of the completed-migration-session cache: the sender's worst-case
-    /// per-message retransmit window (`migration_ack_timeout × (1 +
-    /// migration_retx)`, scaled by [`E2E_ACK_TIMEOUT_FACTOR`] because
+    /// per-message retransmit window (`migration_ack_timeout() × (1 +
+    /// MIGRATION_RETX)`, scaled by [`E2E_ACK_TIMEOUT_FACTOR`] because
     /// end-to-end sessions stretch each timeout), doubled for queueing
     /// slack. Far below any plausible time for the global session counter to
     /// wrap back to the same id.
     pub fn migration_done_ttl(&self) -> SimDuration {
         SimDuration::from_micros(
-            self.migration_ack_timeout.as_micros()
-                * (u64::from(self.migration_retx) + 1)
+            self.migration_ack_timeout().as_micros()
+                * (u64::from(MIGRATION_RETX) + 1)
                 * E2E_ACK_TIMEOUT_FACTOR
                 * 2,
         )
@@ -140,24 +212,12 @@ impl AgillaConfig {
 impl Default for AgillaConfig {
     fn default() -> Self {
         AgillaConfig {
-            max_agents: 4,
-            code_block_bytes: 22,
-            code_blocks: 20,
-            tuple_space_bytes: 600,
-            reaction_registry_bytes: 400,
-            reaction_registry_slots: 10,
-            engine_slice: 4,
-            migration_ack_timeout: SimDuration::from_millis(100),
-            migration_retx: 4,
-            migration_receiver_abort: SimDuration::from_millis(250),
             remote_op_timeout: SimDuration::from_secs(2),
-            remote_op_retx: 2,
             epsilon: 0,
             beacon_period: wsn_net::BEACON_PERIOD,
             hop_by_hop_migration: true,
             hop_failover: false,
             verify_on_inject: true,
-            timing: TimingModel::mica2(),
             energy: EnergyConfig::default(),
         }
     }
@@ -184,7 +244,8 @@ pub struct EnergyConfig {
     /// on (the paper's stack). When set, idle-listen drain scales down by
     /// the duty cycle and every transmission pays a stretched preamble; the
     /// ack/abort/reply timeouts are widened by the stretch so the protocols
-    /// keep working at long intervals (see [`AgillaConfig::lpl_adjusted`]).
+    /// keep working at long intervals (see
+    /// [`AgillaConfig::migration_ack_timeout`]).
     pub lpl_check_interval: Option<SimDuration>,
 }
 
@@ -218,101 +279,27 @@ impl Default for EnergyConfig {
     }
 }
 
-impl AgillaConfig {
-    /// A copy of the config with every stop-and-wait timeout widened by the
-    /// LPL preamble stretch, so duty-cycled runs do not spuriously time out
-    /// while a frame is still (legitimately) in its stretched preamble.
-    /// Identity when LPL is off — including when a check interval is set
-    /// but the energy master switch is not (`enabled: false` promises no
-    /// behavioural change whatsoever).
-    pub fn lpl_adjusted(&self) -> AgillaConfig {
-        if !self.energy.enabled {
-            return self.clone();
-        }
-        let Some(interval) = self.energy.lpl_check_interval else {
-            return self.clone();
-        };
-        let stretch = interval.as_micros();
-        let mut adj = self.clone();
-        // Each acknowledged exchange is one data frame plus one ack frame,
-        // both stretched; 2x covers the round trip.
-        adj.migration_ack_timeout =
-            SimDuration::from_micros(adj.migration_ack_timeout.as_micros() + 2 * stretch);
-        adj.migration_receiver_abort =
-            SimDuration::from_micros(adj.migration_receiver_abort.as_micros() + 3 * stretch);
-        // A remote op crosses up to ~5 hops out and back on the testbed.
-        adj.remote_op_timeout =
-            SimDuration::from_micros(adj.remote_op_timeout.as_micros() + 10 * stretch);
-        adj
-    }
-}
-
-/// Software-path timing constants, calibrated so the simulated operation
-/// latencies land on the paper's measurements (≈55 ms one-hop remote
-/// tuple-space ops, ≈225 ms one-hop migrations; Figs. 10–11). The
-/// `fig10_latency` and `fig11_remote_ops` binaries replay the calibration.
-#[derive(Debug, Clone)]
-pub struct TimingModel {
-    /// Serializing an agent and opening a sender session, µs. Covers the
-    /// instruction manager packaging code blocks and the tuple-space manager
-    /// packaging reactions (Section 3.2).
-    pub migration_sender_setup_us: u64,
-    /// Installing an arrived agent: allocation, reaction re-registration,
-    /// scheduling, µs.
-    pub migration_receiver_restore_us: u64,
-    /// Handling one migration data message at the receiver (copy into the
-    /// reassembly buffer, ack turnaround), µs.
-    pub migration_msg_handling_us: u64,
-    /// Executing a remote tuple-space request at the destination, µs.
-    pub remote_op_service_us: u64,
-    /// Gap between a mote finishing one frame and starting the next queued
-    /// one (radio turnaround + task latency), µs.
-    pub tx_turnaround_us: u64,
-    /// Per-hop software cost of geographically forwarding a remote
-    /// tuple-space message at an intermediate node, µs.
-    pub georouting_forward_us: u64,
-}
-
-impl TimingModel {
-    /// The calibrated MICA2 profile.
-    pub fn mica2() -> Self {
-        TimingModel {
-            migration_sender_setup_us: 50_000,
-            migration_receiver_restore_us: 55_000,
-            migration_msg_handling_us: 20_000,
-            remote_op_service_us: 4_200,
-            tx_turnaround_us: 1_500,
-            georouting_forward_us: 8_000,
-        }
-    }
-}
-
-impl Default for TimingModel {
-    fn default() -> Self {
-        TimingModel::mica2()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn defaults_match_paper() {
+        assert_eq!(MAX_AGENTS, 4);
+        assert_eq!(CODE_BLOCK_BYTES, 22);
+        assert_eq!(CODE_BLOCKS, 20);
+        assert_eq!(CODE_BUDGET, 440);
+        assert_eq!(TUPLE_SPACE_BYTES, 600);
+        assert_eq!(REACTION_REGISTRY_BYTES, 400);
+        assert_eq!(REACTION_REGISTRY_SLOTS, 10);
+        assert_eq!(ENGINE_SLICE, 4);
+        assert_eq!(MIGRATION_ACK_TIMEOUT.as_millis(), 100);
+        assert_eq!(MIGRATION_RETX, 4);
+        assert_eq!(MIGRATION_RECEIVER_ABORT.as_millis(), 250);
+        assert_eq!(REMOTE_OP_RETX, 2);
         let c = AgillaConfig::default();
-        assert_eq!(c.max_agents, 4);
-        assert_eq!(c.code_block_bytes, 22);
-        assert_eq!(c.code_blocks, 20);
-        assert_eq!(c.code_budget(), 440);
-        assert_eq!(c.tuple_space_bytes, 600);
-        assert_eq!(c.reaction_registry_bytes, 400);
-        assert_eq!(c.reaction_registry_slots, 10);
-        assert_eq!(c.engine_slice, 4);
-        assert_eq!(c.migration_ack_timeout.as_millis(), 100);
-        assert_eq!(c.migration_retx, 4);
-        assert_eq!(c.migration_receiver_abort.as_millis(), 250);
         assert_eq!(c.remote_op_timeout.as_millis(), 2_000);
-        assert_eq!(c.remote_op_retx, 2);
+        assert_eq!(c.epsilon, 0);
         assert!(c.hop_by_hop_migration);
         assert!(!c.hop_failover, "single-candidate greedy, as evaluated");
         assert!(c.verify_on_inject, "bad bytecode is refused at injection");
@@ -320,12 +307,22 @@ mod tests {
         assert!(c.energy.lpl_check_interval.is_none());
     }
 
+    /// The timeouts and cache TTLs the protocols derive from a config:
+    /// `(ack ms, abort ms, remote ms, reply TTL ms, migration-done TTL ms)`.
+    fn derived(c: &AgillaConfig) -> (u64, u64, u64, u64, u64) {
+        (
+            c.migration_ack_timeout().as_millis(),
+            c.migration_receiver_abort().as_millis(),
+            c.remote_timeout().as_millis(),
+            c.remote_reply_ttl().as_millis(),
+            c.migration_done_ttl().as_millis(),
+        )
+    }
+
     #[test]
     fn lpl_adjustment_widens_timeouts_only_when_lpl_is_on() {
         let plain = AgillaConfig::default();
-        let adj = plain.lpl_adjusted();
-        assert_eq!(adj.migration_ack_timeout, plain.migration_ack_timeout);
-        assert_eq!(adj.remote_op_timeout, plain.remote_op_timeout);
+        assert_eq!(derived(&plain), (100, 250, 2_000, 6_000, 5_000));
 
         // A check interval with the master switch off is inert: the
         // `enabled: false` contract is "no behavioural change whatsoever".
@@ -337,29 +334,15 @@ mod tests {
             },
             ..AgillaConfig::default()
         };
-        let adj = disabled.lpl_adjusted();
-        assert_eq!(adj.migration_ack_timeout, plain.migration_ack_timeout);
-        assert_eq!(adj.remote_op_timeout, plain.remote_op_timeout);
+        assert_eq!(derived(&disabled), derived(&plain));
 
+        // LPL at 100 ms widens ack, abort and remote timeouts by 2, 3 and
+        // 10 stretches, and both TTLs follow.
         let lpl = AgillaConfig {
             energy: EnergyConfig::with_lpl(100.0, SimDuration::from_millis(100)),
             ..AgillaConfig::default()
         };
-        let adj = lpl.lpl_adjusted();
-        assert_eq!(adj.migration_ack_timeout.as_millis(), 100 + 200);
-        assert_eq!(adj.migration_receiver_abort.as_millis(), 250 + 300);
-        assert_eq!(adj.remote_op_timeout.as_millis(), 2_000 + 1_000);
-    }
-
-    #[test]
-    fn energy_config_constructors() {
-        let e = EnergyConfig::with_battery(5.0);
-        assert!(e.enabled);
-        assert!(e.lpl_check_interval.is_none());
-        let e = EnergyConfig::with_lpl(5.0, SimDuration::from_millis(50));
-        assert!(e.enabled);
-        assert_eq!(e.lpl_check_interval.unwrap().as_millis(), 50);
-        assert!(EnergyConfig::default().battery_joules > 10_000.0, "2x AA");
+        assert_eq!(derived(&lpl), (300, 550, 3_000, 9_000, 15_000));
     }
 
     #[test]
@@ -377,21 +360,24 @@ mod tests {
         assert_eq!(failover.remote_reply_ttl().as_millis(), 24_000);
         assert!(
             c.remote_reply_ttl().as_micros()
-                >= c.remote_op_timeout.as_micros() * (u64::from(c.remote_op_retx) + 1)
+                >= c.remote_timeout().as_micros() * (u64::from(REMOTE_OP_RETX) + 1)
         );
         // 100 ms ack timeout x 5 tries x 5 (e2e stretch) x 2 slack.
         assert_eq!(c.migration_done_ttl().as_millis(), 5_000);
         assert!(
             c.migration_done_ttl().as_micros()
-                > c.migration_ack_timeout.as_micros() * (u64::from(c.migration_retx) + 1)
+                > c.migration_ack_timeout().as_micros() * (u64::from(MIGRATION_RETX) + 1)
         );
     }
 
     #[test]
-    fn timing_model_is_positive() {
-        let t = TimingModel::mica2();
-        assert!(t.migration_sender_setup_us > 0);
-        assert!(t.migration_receiver_restore_us > 0);
-        assert!(t.remote_op_service_us > 0);
+    fn energy_config_constructors() {
+        let e = EnergyConfig::with_battery(5.0);
+        assert!(e.enabled);
+        assert!(e.lpl_check_interval.is_none());
+        let e = EnergyConfig::with_lpl(5.0, SimDuration::from_millis(50));
+        assert!(e.enabled);
+        assert_eq!(e.lpl_check_interval.unwrap().as_millis(), 50);
+        assert!(EnergyConfig::default().battery_joules > 10_000.0, "2x AA");
     }
 }

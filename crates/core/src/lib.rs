@@ -8,9 +8,9 @@
 //! The architecture follows Fig. 4:
 //!
 //! * **Agilla engine** — round-robin execution of up to
-//!   [`AgillaConfig::max_agents`] agents per node, four instructions per
-//!   slice, immediate context switch on long-running instructions
-//!   ([`network`]).
+//!   [`config::MAX_AGENTS`] agents per node, [`config::ENGINE_SLICE`]
+//!   instructions per slice, immediate context switch on long-running
+//!   instructions ([`network`]).
 //! * **Agent manager** — slot allocation, admission on arrival, reclamation
 //!   on death ([`node`]).
 //! * **Context manager** — location, beacons, acquaintance list (wsn-net).
@@ -66,7 +66,7 @@ pub use agilla_analysis::CostBounds;
 pub use agilla_tenancy::{
     Allocator, AppId, AppProfile, AppQuota, Decision, Priority, QuotaError, QuotaLedger,
 };
-pub use config::{AgillaConfig, EnergyConfig, TimingModel};
+pub use config::{AgillaConfig, EnergyConfig};
 pub use env::{Environment, FieldModel, FireModel};
 pub use error::{AdmissionReason, AgillaError};
 pub use memory::MemoryModel;

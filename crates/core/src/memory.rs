@@ -4,12 +4,13 @@
 //! memory." (Abstract). The mote had 128 KB of flash and 4 KB of RAM
 //! (Section 3.1). Our reproduction runs on a simulator, so the footprint is
 //! reproduced as an *accounting model*: each middleware component's RAM
-//! budget comes directly from the configuration (the same numbers the paper
-//! states), and each component's ROM cost is an estimate proportional to its
-//! implementation complexity, normalized so the total matches the measured
-//! build the paper reports. The substitution is noted in the README.
+//! budget comes directly from the [`crate::config`] constants (the same
+//! numbers the paper states), and each component's ROM cost is an estimate
+//! proportional to its implementation complexity, normalized so the total
+//! matches the measured build the paper reports. The substitution is noted
+//! in the README.
 
-use crate::config::AgillaConfig;
+use crate::config::{CODE_BUDGET, MAX_AGENTS, REACTION_REGISTRY_BYTES, TUPLE_SPACE_BYTES};
 
 /// One line of the footprint table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,13 +34,13 @@ pub struct MemoryModel {
 const AGENT_CONTEXT_RAM: usize = 16 * 7 + 12 * 7 + 14;
 
 impl MemoryModel {
-    /// Builds the model for a configuration.
-    pub fn for_config(config: &AgillaConfig) -> Self {
-        let agents_ram = config.max_agents * AGENT_CONTEXT_RAM + 16;
+    /// The model of the paper's build, with its default budgets.
+    pub fn paper() -> Self {
+        let agents_ram = MAX_AGENTS * AGENT_CONTEXT_RAM + 16;
         let lines = vec![
-            // RAM budgets are the configured component allocations; ROM
-            // estimates are proportioned to component complexity and
-            // normalized to the paper's 41.6 KB total build.
+            // RAM budgets are the component allocations; ROM estimates are
+            // proportioned to component complexity and normalized to the
+            // paper's 41.6 KB total build.
             MemoryLine {
                 component: "TinyOS core + network stack",
                 rom: 11_000,
@@ -58,17 +59,17 @@ impl MemoryModel {
             MemoryLine {
                 component: "Instruction manager (code blocks)",
                 rom: 2_200,
-                ram: config.code_budget() + 24,
+                ram: CODE_BUDGET + 24,
             },
             MemoryLine {
                 component: "Tuple space manager",
                 rom: 3_600,
-                ram: config.tuple_space_bytes + 32,
+                ram: TUPLE_SPACE_BYTES + 32,
             },
             MemoryLine {
                 component: "Reaction registry",
                 rom: 1_600,
-                ram: config.reaction_registry_bytes + 12,
+                ram: REACTION_REGISTRY_BYTES + 12,
             },
             MemoryLine {
                 component: "Context manager (beacons, acquaintances)",
@@ -126,7 +127,7 @@ mod tests {
 
     #[test]
     fn totals_match_paper_envelope() {
-        let m = MemoryModel::for_config(&AgillaConfig::default());
+        let m = MemoryModel::paper();
         // Paper: 41.6 KB code, 3.59 KB data. Allow a small modelling margin.
         let rom_kb = m.total_rom() as f64 / 1024.0;
         let ram_kb = m.total_ram() as f64 / 1024.0;
@@ -136,25 +137,14 @@ mod tests {
 
     #[test]
     fn fits_the_mote() {
-        let m = MemoryModel::for_config(&AgillaConfig::default());
+        let m = MemoryModel::paper();
         assert!(m.rom_fraction() < 0.5, "under half the 128 KB flash");
         assert!(m.ram_fraction() < 1.0, "fits 4 KB RAM");
     }
 
     #[test]
-    fn ram_tracks_configuration() {
-        let big = AgillaConfig {
-            tuple_space_bytes: 1200,
-            ..AgillaConfig::default()
-        };
-        let base = MemoryModel::for_config(&AgillaConfig::default());
-        let grown = MemoryModel::for_config(&big);
-        assert_eq!(grown.total_ram() - base.total_ram(), 600);
-    }
-
-    #[test]
     fn lines_are_labelled() {
-        let m = MemoryModel::for_config(&AgillaConfig::default());
+        let m = MemoryModel::paper();
         assert!(m.lines().len() >= 8);
         assert!(m.lines().iter().all(|l| !l.component.is_empty()));
     }

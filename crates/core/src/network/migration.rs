@@ -16,7 +16,10 @@ use wsn_common::{AgentId, Location, NodeId};
 use wsn_radio::Frame;
 use wsn_sim::{SimDuration, SimTime};
 
-use crate::config::E2E_ACK_TIMEOUT_FACTOR;
+use crate::config::{
+    E2E_ACK_TIMEOUT_FACTOR, GEOROUTING_FORWARD, MIGRATION_MSG_HANDLING, MIGRATION_RECEIVER_RESTORE,
+    MIGRATION_RETX, MIGRATION_SENDER_SETUP,
+};
 use crate::migration::MigrationImage;
 use crate::node::{AgentStatus, ReceiverSession, SenderSession};
 use crate::stats::OpRecord;
@@ -119,8 +122,14 @@ impl AgillaNetwork {
                 format!("{} {:?} -> {dest}", image.agent_id, kind)
             });
         self.metrics.bump(self.ctr.mig_started);
-        let setup = SimDuration::from_micros(self.config.timing.migration_sender_setup_us);
-        self.open_sender_session(idx, image, held_agent, origin_slot, setup, now);
+        self.open_sender_session(
+            idx,
+            image,
+            held_agent,
+            origin_slot,
+            MIGRATION_SENDER_SETUP,
+            now,
+        );
     }
 
     /// A clone (`sclone`/`wclone`) with no next hop toward `dest`. The
@@ -174,9 +183,9 @@ impl AgillaNetwork {
                 copy.reset_weak();
             }
             copy.set_condition(1);
-            let admitted = self.nodes[idx].can_admit(copy.code().len(), &self.config)
+            let admitted = self.nodes[idx].can_admit(copy.code().len())
                 && self.tenancy_charge_slot(idx, owner)
-                && self.nodes[idx].admit(copy, &self.config).is_some();
+                && self.nodes[idx].admit(copy).is_some();
             if admitted {
                 self.tenancy_inherit(owner, new_id);
             }
@@ -297,7 +306,7 @@ impl AgillaNetwork {
         let (msg, ack_timeout) = if self.config.hop_by_hop_migration {
             (
                 wire::message(am_type, payload),
-                self.config.migration_ack_timeout,
+                self.config.migration_ack_timeout(),
             )
         } else {
             // End-to-end ablation: wrap in the geographic envelope; only the
@@ -311,7 +320,7 @@ impl AgillaNetwork {
             (
                 wire::message(am::MIG_E2E, env.encode()),
                 SimDuration::from_micros(
-                    self.config.migration_ack_timeout.as_micros() * E2E_ACK_TIMEOUT_FACTOR,
+                    self.config.migration_ack_timeout().as_micros() * E2E_ACK_TIMEOUT_FACTOR,
                 ),
             )
         };
@@ -411,7 +420,7 @@ impl AgillaNetwork {
             let Some(s) = self.nodes[idx].send_session_mut(session) else {
                 return;
             };
-            s.retx.on_timeout(self.config.migration_retx)
+            s.retx.on_timeout(MIGRATION_RETX)
         };
         match verdict {
             RetxVerdict::GiveUp => {
@@ -600,11 +609,10 @@ impl AgillaNetwork {
             node: node_id,
             at: now,
         });
-        if self.nodes[idx].can_admit(agent.code().len(), &self.config)
-            && self.tenancy_charge_slot(idx, agent_id)
+        if self.nodes[idx].can_admit(agent.code().len()) && self.tenancy_charge_slot(idx, agent_id)
         {
             let reactions = image.reactions.clone();
-            self.nodes[idx].admit(agent, &self.config);
+            self.nodes[idx].admit(agent);
             for r in reactions {
                 let _ = self.nodes[idx].registry.register(r);
             }
@@ -660,8 +668,8 @@ impl AgillaNetwork {
         // Forward toward the envelope destination.
         if let Some(hop) = self.greedy_hop(idx, env.dest, now) {
             let msg = wire::message(am::MIG_E2E, env.encode());
-            let fwd = SimDuration::from_micros(self.config.timing.georouting_forward_us);
-            self.enqueue_frame(idx, Frame::unicast(node_id, hop, msg.encode()), now, fwd);
+            let frame = Frame::unicast(node_id, hop, msg.encode());
+            self.enqueue_frame(idx, frame, now, GEOROUTING_FORWARD);
         }
     }
 
@@ -695,7 +703,7 @@ impl AgillaNetwork {
             );
             return;
         }
-        if is_final && !self.nodes[idx].can_admit(h.code_len as usize, &self.config) {
+        if is_final && !self.nodes[idx].can_admit(h.code_len as usize) {
             let nack = MigNack { session: h.session }.encode();
             match origin {
                 None => {
@@ -718,10 +726,10 @@ impl AgillaNetwork {
         // End-to-end sessions stall for whole-path round trips, so their
         // watchdog scales with the ack timeout.
         let abort_after = if origin.is_none() {
-            self.config.migration_receiver_abort
+            self.config.migration_receiver_abort()
         } else {
             SimDuration::from_micros(
-                self.config.migration_receiver_abort.as_micros() * E2E_ACK_TIMEOUT_FACTOR,
+                self.config.migration_receiver_abort().as_micros() * E2E_ACK_TIMEOUT_FACTOR,
             )
         };
         let abort_timer = self.queue.schedule(
@@ -858,10 +866,10 @@ impl AgillaNetwork {
                 return;
             };
             let window = if s.origin.is_none() {
-                self.config.migration_receiver_abort
+                self.config.migration_receiver_abort()
             } else {
                 SimDuration::from_micros(
-                    self.config.migration_receiver_abort.as_micros() * E2E_ACK_TIMEOUT_FACTOR,
+                    self.config.migration_receiver_abort().as_micros() * E2E_ACK_TIMEOUT_FACTOR,
                 )
             };
             let stalled = now.saturating_since(s.last_progress) >= window;
@@ -916,10 +924,8 @@ impl AgillaNetwork {
         let my_loc = self.nodes[idx].loc;
         if my_loc.matches_within(header.final_dest, self.config.epsilon) {
             // Final destination: install and schedule.
-            let restore =
-                SimDuration::from_micros(self.config.timing.migration_receiver_restore_us);
             let agent_id = agent.id();
-            if !self.nodes[idx].can_admit(agent.code().len(), &self.config)
+            if !self.nodes[idx].can_admit(agent.code().len())
                 || !self.tenancy_charge_slot(idx, agent_id)
             {
                 // The agent is dropped here for good, so its app mapping
@@ -937,7 +943,7 @@ impl AgillaNetwork {
                 // re-arm the runtime's verified-jump assertions for it.
                 agent.mark_verified();
             }
-            self.nodes[idx].admit(agent, &self.config);
+            self.nodes[idx].admit(agent);
             for r in reactions {
                 let _ = self.nodes[idx].registry.register(r);
             }
@@ -946,13 +952,13 @@ impl AgillaNetwork {
                 agent: agent_id,
                 node: node_id,
                 kind: header.kind,
-                at: now + restore,
+                at: now + MIGRATION_RECEIVER_RESTORE,
             });
             self.tracer
                 .record_with(now, Some(node_id), "migrate.arrive", || {
                     format!("{agent_id}")
                 });
-            self.schedule_engine(idx, now, restore);
+            self.schedule_engine(idx, now, MIGRATION_RECEIVER_RESTORE);
         } else {
             // Relay: store-and-forward toward the final destination.
             let image = MigrationImage {
@@ -963,8 +969,7 @@ impl AgillaNetwork {
                 code: agent.code().to_vec(),
                 reactions,
             };
-            let handling = SimDuration::from_micros(self.config.timing.migration_msg_handling_us);
-            self.open_sender_session(idx, image, None, None, handling, now);
+            self.open_sender_session(idx, image, None, None, MIGRATION_MSG_HANDLING, now);
         }
     }
 }

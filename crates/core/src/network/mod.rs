@@ -27,17 +27,17 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use agilla_tenancy::{AppId, AppProfile, Priority, QuotaLedger};
 use agilla_tuplespace::{Reaction, Template, Tuple, TupleSpaceError};
 use agilla_vm::exec::{self, StepResult};
-use agilla_vm::isa::{CostModel, EnergyClass, Instruction};
+use agilla_vm::isa::{EnergyClass, Instruction, REACTION_DISPATCH_US};
 use agilla_vm::{asm, AgentState, Host, VmError};
 use wsn_common::{AgentId, Location, NodeId, SensorType};
-use wsn_net::{decode_beacon, encode_beacon, ActiveMessage, CsmaMac, MacConfig};
+use wsn_net::{decode_beacon, encode_beacon, ActiveMessage, CsmaMac, LplConfig};
 use wsn_radio::{
     DeliveryOutcome, EnergyLedger, EnergyMeter, EnergyState, Frame, GilbertElliott, LossModel,
     Medium, Motion, MotionPlan, Topology,
 };
 use wsn_sim::{CounterId, EventQueue, Metrics, RngStream, SimDuration, SimTime, Tracer};
 
-use crate::config::AgillaConfig;
+use crate::config::{AgillaConfig, CODE_BUDGET, ENGINE_SLICE, TX_TURNAROUND};
 use crate::env::Environment;
 use crate::error::{AdmissionReason, AgillaError};
 use crate::node::{AgentStatus, Node};
@@ -282,7 +282,6 @@ pub struct AgillaNetwork {
     rng_mac: Vec<RngStream>,
     rng_vm: Vec<RngStream>,
     rng_env: Vec<RngStream>,
-    cost: CostModel,
     base: NodeId,
     clock: SimTime,
     agent_ids: SessionIdGen,
@@ -311,19 +310,15 @@ impl AgillaNetwork {
         env: Environment,
         seed: u64,
     ) -> Self {
-        // LPL stretches every preamble; widen the protocol timeouts to
-        // match (identity when LPL is off).
-        let config = config.lpl_adjusted();
         let mut medium = Medium::new(topology, loss, seed);
-        let mac_config = match config.energy.lpl_check_interval {
-            Some(interval) if config.energy.enabled => MacConfig::mica2_lpl(interval),
-            _ => MacConfig::mica2(),
-        };
+        // LPL stretches every preamble; the config widens the protocol
+        // timeouts to match.
+        let lpl = config.lpl_interval().map(LplConfig::with_interval);
         if config.energy.enabled {
-            let duty = mac_config.lpl.as_ref().map_or(1.0, |l| l.listen_duty());
+            let duty = lpl.as_ref().map_or(1.0, |l| l.listen_duty());
             let n = medium.topology().len();
             medium.attach_energy(EnergyLedger::new(n, config.energy.battery_joules, duty));
-            if let Some(lpl) = &mac_config.lpl {
+            if let Some(lpl) = &lpl {
                 medium.set_preamble_stretch(lpl.preamble_stretch());
             }
         }
@@ -371,11 +366,10 @@ impl AgillaNetwork {
             metrics,
             ctr,
             log: ExperimentLog::new(),
-            mac: CsmaMac::new(mac_config),
+            mac: CsmaMac::new(lpl),
             rng_mac: derive_all("net.mac"),
             rng_vm: derive_all("net.vm"),
             rng_env: derive_all("net.env"),
-            cost: CostModel::mica2(),
             base: NodeId(0),
             clock: SimTime::ZERO,
             agent_ids: SessionIdGen::new(),
@@ -596,11 +590,11 @@ impl AgillaNetwork {
             });
         }
         let now = self.now();
-        if !self.nodes[idx].can_admit(code.len(), &self.config) {
+        if !self.nodes[idx].can_admit(code.len()) {
             // Priority preemption: before turning a registered app away,
             // try evicting one agent of a strictly lower-priority app.
             let preempted = app.is_some_and(|a| self.try_preempt(idx, a, now));
-            if !preempted || !self.nodes[idx].can_admit(code.len(), &self.config) {
+            if !preempted || !self.nodes[idx].can_admit(code.len()) {
                 return Err(AgillaError::Admission {
                     reason: AdmissionReason::NoSlots,
                 });
@@ -621,7 +615,7 @@ impl AgillaNetwork {
             self.verified.insert(code.clone());
         }
         let id = AgentId(self.agent_ids.allocate());
-        let mut agent = match AgentState::with_code_budget(id, code, self.config.code_budget()) {
+        let mut agent = match AgentState::with_code_budget(id, code, CODE_BUDGET) {
             Ok(a) => a,
             Err(e) => {
                 self.tenancy_refund_slot(app, idx);
@@ -631,9 +625,7 @@ impl AgillaNetwork {
         if self.config.verify_on_inject {
             agent.mark_verified();
         }
-        self.nodes[idx]
-            .admit(agent, &self.config)
-            .expect("can_admit checked");
+        self.nodes[idx].admit(agent).expect("can_admit checked");
         if let Some(a) = app {
             self.tenancy.app_of.insert(id, a);
             self.metrics.incr(format!("tenancy.{a}.injected"));
@@ -1339,8 +1331,7 @@ impl AgillaNetwork {
     /// [`EngineStep::Idle`] when the engine goes quiet (no ready agent, or
     /// a reaction entry fault that kills the agent without rescheduling).
     fn engine_step(&mut self, idx: usize, now: SimTime) -> EngineStep {
-        let slice = self.config.engine_slice;
-        let Some(slot_idx) = self.nodes[idx].pick_ready(slice) else {
+        let Some(slot_idx) = self.nodes[idx].pick_ready(ENGINE_SLICE) else {
             return EngineStep::Idle;
         };
 
@@ -1363,10 +1354,9 @@ impl AgillaNetwork {
                         .record_with(now, Some(node_id), "reaction.dispatch", || {
                             format!("{agent_id} -> pc {pc}")
                         });
-                    let dispatch_us = self.cost.reaction_dispatch_us;
-                    self.charge_cpu(node_id, dispatch_us);
+                    self.charge_cpu(node_id, REACTION_DISPATCH_US);
                     EngineStep::Ran {
-                        cost: SimDuration::from_micros(dispatch_us),
+                        cost: SimDuration::from_micros(REACTION_DISPATCH_US),
                     }
                 }
                 Err(e) => {
@@ -1383,7 +1373,6 @@ impl AgillaNetwork {
                 env,
                 rng_vm,
                 rng_env,
-                cost,
                 tenancy,
                 motion,
                 ..
@@ -1417,7 +1406,7 @@ impl AgillaNetwork {
             let decoded = Instruction::decode(slot.agent.code(), slot.agent.pc());
             let (op_cost, op_class) = decoded
                 .as_ref()
-                .map(|(ins, _)| (cost.cost_us(ins.op), ins.op.energy_class()))
+                .map(|(ins, _)| (ins.op.cost_us(), ins.op.energy_class()))
                 .unwrap_or((60, EnergyClass::Cpu));
             let mut host = HostView {
                 loc: *loc,
@@ -1700,9 +1689,7 @@ impl AgillaNetwork {
         if self.nodes[idx].tx_queue.is_empty() {
             self.nodes[idx].tx_scheduled = false;
         } else {
-            let delay = air
-                + SimDuration::from_micros(self.config.timing.tx_turnaround_us)
-                + self.mac.initial_backoff(&mut self.rng_mac[idx]);
+            let delay = air + TX_TURNAROUND + self.mac.initial_backoff(&mut self.rng_mac[idx]);
             self.queue
                 .schedule(now + delay, Event::TxReady { node: node_id });
         }

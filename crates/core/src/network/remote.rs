@@ -18,6 +18,7 @@ use agilla_vm::exec::{self, RemoteOp};
 use wsn_radio::Frame;
 use wsn_sim::{SimDuration, SimTime};
 
+use crate::config::{GEOROUTING_FORWARD, REMOTE_OP_RETX, REMOTE_OP_SERVICE};
 use crate::node::{AgentStatus, PendingRemote, RemoteDedupKey};
 use crate::stats::OpRecord;
 use crate::wire::{self, am, RtsKind, RtsReply, RtsRequest};
@@ -155,7 +156,7 @@ impl AgillaNetwork {
             (p.request.encode(), p.request.dest, p.tried_hops.clone())
         };
         let timer = self.queue.schedule(
-            now + self.config.remote_op_timeout,
+            now + self.config.remote_timeout(),
             Event::RemoteTimeout {
                 node: node_id,
                 op_id,
@@ -202,7 +203,7 @@ impl AgillaNetwork {
             let Some(p) = self.nodes[idx].pending_remote_mut(op_id) else {
                 return;
             };
-            p.retx.on_timeout(self.config.remote_op_retx)
+            p.retx.on_timeout(REMOTE_OP_RETX)
         };
         match verdict {
             RetxVerdict::GiveUp => {
@@ -358,15 +359,14 @@ impl AgillaNetwork {
                     });
                 reply
             };
-            let service = SimDuration::from_micros(self.config.timing.remote_op_service_us);
-            self.forward_rts_reply(idx, reply, service, now);
+            self.forward_rts_reply(idx, reply, REMOTE_OP_SERVICE, now);
         } else {
             // Forward toward the destination (a TinyOS task at each hop).
-            let fwd = SimDuration::from_micros(self.config.timing.georouting_forward_us);
             match self.greedy_hop(idx, req.dest, now) {
                 Some(hop) => {
                     let msg = wire::message(am::RTS_REQ, req.encode());
-                    self.enqueue_frame(idx, Frame::unicast(node_id, hop, msg.encode()), now, fwd);
+                    let frame = Frame::unicast(node_id, hop, msg.encode());
+                    self.enqueue_frame(idx, frame, now, GEOROUTING_FORWARD);
                 }
                 None => {
                     self.tracer
@@ -405,8 +405,7 @@ impl AgillaNetwork {
         if my_loc.matches_within(reply.dest, self.config.epsilon) {
             self.deliver_rts_reply(idx, reply, now);
         } else {
-            let fwd = SimDuration::from_micros(self.config.timing.georouting_forward_us);
-            self.forward_rts_reply(idx, reply, fwd, now);
+            self.forward_rts_reply(idx, reply, GEOROUTING_FORWARD, now);
         }
     }
 

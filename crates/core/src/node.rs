@@ -9,7 +9,10 @@ use wsn_net::AcquaintanceList;
 use wsn_radio::Frame;
 use wsn_sim::{EventId, SimDuration, SimTime};
 
-use crate::config::AgillaConfig;
+use crate::config::{
+    AgillaConfig, CODE_BLOCKS, CODE_BLOCK_BYTES, MAX_AGENTS, REACTION_REGISTRY_BYTES,
+    REACTION_REGISTRY_SLOTS, TUPLE_SPACE_BYTES,
+};
 use crate::migration::{MigrationImage, ReassemblyBuffer};
 use crate::network::session::{CompletedCache, RetxState};
 use crate::wire::{MigData, MigHeader, RtsReply, RtsRequest};
@@ -208,8 +211,8 @@ pub struct Node {
     /// One-hop neighbor table.
     pub acq: AcquaintanceList,
     /// Agent slots: empty until the first admission, which creates all
-    /// [`AgillaConfig::max_agents`] of them at once; never shrunk, so slot
-    /// indices and both cursors behave as if the slots always existed.
+    /// [`MAX_AGENTS`] of them at once; never shrunk, so slot indices and
+    /// both cursors behave as if the slots always existed.
     pub slots: Vec<Option<AgentSlot>>,
     /// Round-robin cursor over slots.
     pub rr_cursor: usize,
@@ -236,19 +239,14 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates a node with the configured resource budgets.
+    /// Creates a node with the paper's resource budgets; `config` sets how
+    /// long an acquaintance outlives its last beacon.
     pub fn new(id: NodeId, loc: Location, config: &AgillaConfig) -> Self {
         Node {
             id,
             loc,
-            space: TupleSpace::new(
-                config.tuple_space_bytes,
-                agilla_tuplespace::ArenaKind::Linear,
-            ),
-            registry: ReactionRegistry::new(
-                config.reaction_registry_slots,
-                config.reaction_registry_bytes,
-            ),
+            space: TupleSpace::new(TUPLE_SPACE_BYTES, agilla_tuplespace::ArenaKind::Linear),
+            registry: ReactionRegistry::new(REACTION_REGISTRY_SLOTS, REACTION_REGISTRY_BYTES),
             acq: AcquaintanceList::new(SimDuration::from_micros(
                 3 * config.beacon_period.as_micros() + 500_000,
             )),
@@ -267,34 +265,28 @@ impl Node {
 
     /// Code blocks consumed by resident agents (instruction manager
     /// accounting: minimum whole 22-byte blocks per agent).
-    pub fn blocks_used(&self, block_bytes: usize) -> usize {
+    pub fn blocks_used(&self) -> usize {
         self.slots
             .iter()
             .flatten()
-            .map(|s| s.agent.code().len().div_ceil(block_bytes))
+            .map(|s| s.agent.code().len().div_ceil(CODE_BLOCK_BYTES))
             .sum()
     }
 
     /// Whether an agent with `code_len` bytes of code can be admitted:
-    /// needs a free slot and enough free instruction blocks.
-    pub fn can_admit(&self, code_len: usize, config: &AgillaConfig) -> bool {
-        // Before the first admission every slot is free.
-        let free_slot = if self.slots.is_empty() {
-            config.max_agents > 0
-        } else {
-            self.slots.iter().any(Option::is_none)
-        };
-        let needed = code_len.div_ceil(config.code_block_bytes);
-        let used = self.blocks_used(config.code_block_bytes);
-        free_slot && used + needed <= config.code_blocks
+    /// needs a free slot and enough free instruction blocks. Before the
+    /// first admission every slot is free.
+    pub fn can_admit(&self, code_len: usize) -> bool {
+        let free_slot = self.slots.is_empty() || self.slots.iter().any(Option::is_none);
+        free_slot && self.blocks_used() + code_len.div_ceil(CODE_BLOCK_BYTES) <= CODE_BLOCKS
     }
 
     /// Installs an agent into a free slot, returning the slot index.
     /// Callers check [`Node::can_admit`] first; `None` means no free slot.
-    /// The first admission creates all `max_agents` slots at once.
-    pub fn admit(&mut self, agent: AgentState, config: &AgillaConfig) -> Option<usize> {
+    /// The first admission creates all [`MAX_AGENTS`] slots at once.
+    pub fn admit(&mut self, agent: AgentState) -> Option<usize> {
         if self.slots.is_empty() {
-            self.slots.resize_with(config.max_agents, || None);
+            self.slots.resize_with(MAX_AGENTS, || None);
         }
         let idx = self.slots.iter().position(Option::is_none)?;
         self.slots[idx] = Some(AgentSlot::new(agent));
@@ -463,10 +455,10 @@ mod tests {
     fn admit_up_to_max_agents() {
         let mut n = node();
         for i in 0..4 {
-            assert!(n.can_admit(10, &cfg()), "agent {i}");
-            n.admit(agent(i, 10), &cfg()).unwrap();
+            assert!(n.can_admit(10), "agent {i}");
+            n.admit(agent(i, 10)).unwrap();
         }
-        assert!(!n.can_admit(10, &cfg()), "fifth agent refused: no slot");
+        assert!(!n.can_admit(10), "fifth agent refused: no slot");
         assert_eq!(n.agents().len(), 4);
     }
 
@@ -474,22 +466,22 @@ mod tests {
     fn admission_respects_code_blocks() {
         let mut n = node();
         // Two agents of 220 bytes = 10 blocks each fill the 20-block budget.
-        n.admit(agent(1, 220), &cfg()).unwrap();
-        assert!(n.can_admit(220, &cfg()));
-        n.admit(agent(2, 220), &cfg()).unwrap();
-        assert_eq!(n.blocks_used(22), 20);
-        assert!(!n.can_admit(1, &cfg()), "no blocks left despite free slots");
+        n.admit(agent(1, 220)).unwrap();
+        assert!(n.can_admit(220));
+        n.admit(agent(2, 220)).unwrap();
+        assert_eq!(n.blocks_used(), 20);
+        assert!(!n.can_admit(1), "no blocks left despite free slots");
     }
 
     #[test]
     fn evict_frees_slot_and_blocks() {
         let mut n = node();
-        n.admit(agent(1, 220), &cfg()).unwrap();
-        n.admit(agent(2, 220), &cfg()).unwrap();
+        n.admit(agent(1, 220)).unwrap();
+        n.admit(agent(2, 220)).unwrap();
         let slot = n.slot_of(AgentId(1)).unwrap();
         let evicted = n.evict(slot).unwrap();
         assert_eq!(evicted.agent.id(), AgentId(1));
-        assert!(n.can_admit(220, &cfg()));
+        assert!(n.can_admit(220));
         assert_eq!(n.slot_of(AgentId(1)), None);
     }
 
@@ -498,10 +490,7 @@ mod tests {
         let mut n = node();
         let code = assemble("halt").unwrap().into_code();
         for i in 0..3 {
-            n.admit(
-                AgentState::with_code(AgentId(i), code.clone()).unwrap(),
-                &cfg(),
-            );
+            n.admit(AgentState::with_code(AgentId(i), code.clone()).unwrap());
         }
         // All ready: cursor stays within slice, rotates after 4 instructions.
         let first = n.pick_ready(4).unwrap();
@@ -517,7 +506,7 @@ mod tests {
     #[test]
     fn pick_ready_none_when_all_blocked() {
         let mut n = node();
-        n.admit(agent(1, 4), &cfg()).unwrap();
+        n.admit(agent(1, 4)).unwrap();
         n.slots[0].as_mut().unwrap().status = AgentStatus::Waiting;
         assert_eq!(n.pick_ready(4), None);
         assert!(!n.has_ready_agent());
@@ -663,24 +652,16 @@ mod tests {
         let n = node();
         assert!(n.slots.is_empty());
         assert!(n.sessions().is_none());
-        assert!(
-            n.can_admit(10, &cfg()),
-            "every slot is free before any admission"
-        );
-        let none = AgillaConfig {
-            max_agents: 0,
-            ..cfg()
-        };
-        assert!(!n.can_admit(10, &none), "no slot to be free");
+        assert!(n.can_admit(10), "every slot is free before any admission");
     }
 
     #[test]
     fn the_first_admission_creates_every_slot_for_good() {
         let mut n = node();
-        assert_eq!(n.admit(agent(1, 10), &cfg()), Some(0));
-        assert_eq!(n.slots.len(), cfg().max_agents);
+        assert_eq!(n.admit(agent(1, 10)), Some(0));
+        assert_eq!(n.slots.len(), MAX_AGENTS);
         n.evict(0).unwrap();
-        assert_eq!(n.slots.len(), cfg().max_agents, "slots are never dropped");
+        assert_eq!(n.slots.len(), MAX_AGENTS, "slots are never dropped");
     }
 
     #[test]
@@ -712,11 +693,11 @@ mod tests {
         assert!(size <= 320, "size_of::<Node>() grew to {size} B");
     }
 
-    /// A node whose `max_agents` slots exist from the start, as every node's
-    /// did before slots were created at the first admission.
-    fn eager_node(config: &AgillaConfig) -> Node {
-        let mut n = Node::new(NodeId(1), Location::new(1, 1), config);
-        n.slots = (0..config.max_agents).map(|_| None).collect();
+    /// A node whose [`MAX_AGENTS`] slots exist from the start, as every
+    /// node's did before slots were created at the first admission.
+    fn eager_node() -> Node {
+        let mut n = node();
+        n.slots = (0..MAX_AGENTS).map(|_| None).collect();
         n
     }
 
@@ -740,15 +721,10 @@ mod tests {
         /// round-robin picks get the same answers from both nodes.
         #[test]
         fn prop_slots_created_on_first_admission_match_eager_slots(
-            max_agents in 0usize..=5,
             ops in prop::collection::vec((0u8..6, 0u16..400, 0u16..12), 1..80),
         ) {
-            let config = AgillaConfig {
-                max_agents,
-                ..AgillaConfig::default()
-            };
-            let mut lazy = Node::new(NodeId(1), Location::new(1, 1), &config);
-            let mut eager = eager_node(&config);
+            let mut lazy = node();
+            let mut eager = eager_node();
             let mut next_id = 1u16;
             for (kind, a, b) in ops {
                 match kind {
@@ -756,16 +732,16 @@ mod tests {
                     // 1: an unconditional `admit`.
                     0 | 1 => {
                         let len = usize::from(a);
-                        let asked = lazy.can_admit(len, &config);
-                        prop_assert_eq!(asked, eager.can_admit(len, &config));
+                        let asked = lazy.can_admit(len);
+                        prop_assert_eq!(asked, eager.can_admit(len));
                         if asked || kind == 1 {
-                            let idx = lazy.admit(agent(next_id, len), &config);
-                            prop_assert_eq!(idx, eager.admit(agent(next_id, len), &config));
+                            let idx = lazy.admit(agent(next_id, len));
+                            prop_assert_eq!(idx, eager.admit(agent(next_id, len)));
                             next_id += 1;
                         }
                     }
                     2 => {
-                        let slot = usize::from(b) % (max_agents + 1);
+                        let slot = usize::from(b) % (MAX_AGENTS + 1);
                         prop_assert_eq!(
                             lazy.evict(slot).map(|s| s.agent.id()),
                             eager.evict(slot).map(|s| s.agent.id())

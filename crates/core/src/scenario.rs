@@ -76,7 +76,7 @@ use wsn_sim::{RngStream, SimDuration};
 use crate::config::AgillaConfig;
 use crate::env::Environment;
 use crate::network::AgillaNetwork;
-use crate::testbed::{Testbed, TopologySpec, Trial, TrialSpec, TrialStep};
+use crate::testbed::{TopologySpec, Trial, TrialSpec, TrialStep};
 
 /// Where an arriving agent enters the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -599,28 +599,6 @@ pub struct ScenarioSpec {
     pub measure_from: Option<SimDuration>,
 }
 
-impl Testbed {
-    /// Mints an empty [`ScenarioSpec`] with seed `base_seed ^ seed_mix`,
-    /// the scenario analogue of [`Testbed::trial`].
-    pub fn scenario(&self, seed_mix: u64) -> ScenarioSpec {
-        let spec = self.trial(seed_mix);
-        ScenarioSpec {
-            topology: spec.topology,
-            config: spec.config,
-            env: spec.env,
-            seed: spec.seed,
-            horizon: SimDuration::ZERO,
-            traffic: Vec::new(),
-            apps: Vec::new(),
-            app_alloc: None,
-            events: Vec::new(),
-            motion: MotionPlan::new(),
-            clients: Vec::new(),
-            measure_from: None,
-        }
-    }
-}
-
 impl ScenarioSpec {
     /// Adds a traffic generator. Generator order is part of the spec: it
     /// seeds each generator's random substream and breaks arrival ties.
@@ -783,7 +761,7 @@ impl ScenarioSpec {
                         agilla_analysis::analyze(&program.into_code()).cost
                     });
                     let demand = Allocator::demand(cost.as_ref(), arrivals.len() as u32);
-                    matches!(alloc.place(app.profile.id, demand), Decision::Placed { .. })
+                    matches!(alloc.place(demand), Decision::Placed { .. })
                 }
                 None => true,
             };
@@ -913,11 +891,28 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testbed::Testbed;
     use crate::workload;
     use wsn_sim::SimTime;
 
+    const BED_SEED: u64 = 0xC0FFEE;
+
     fn bed() -> Testbed {
-        Testbed::lossy_5x5(AgillaConfig::default(), 0xC0FFEE)
+        Testbed::lossy_5x5(AgillaConfig::default(), BED_SEED)
+    }
+
+    /// A step script written out by hand on [`bed`]'s substrate, with the
+    /// seed its scenario `seed_mix` derives.
+    fn hand_script(seed_mix: u64, steps: Vec<TrialStep>) -> TrialSpec {
+        TrialSpec {
+            topology: TopologySpec::Lossy5x5,
+            config: AgillaConfig::default(),
+            env: Environment::ambient(),
+            seed: BED_SEED ^ seed_mix,
+            steps,
+            motion: MotionPlan::new(),
+            clients: Vec::new(),
+        }
     }
 
     #[test]
@@ -951,7 +946,16 @@ mod tests {
             .traffic(OneShot::at_base(&src))
             .horizon(run)
             .compile();
-        let hand = bed().trial(5).inject(&src).run(run);
+        let hand = hand_script(
+            5,
+            vec![
+                TrialStep::Inject {
+                    at: None,
+                    source: src.clone(),
+                },
+                TrialStep::Run(run),
+            ],
+        );
         // TryInject vs Inject is the one deliberate difference in shape
         // (scenario arrivals may be refused admission under load).
         assert_eq!(
@@ -983,13 +987,22 @@ mod tests {
             .measure_from(one)
             .horizon(SimDuration::from_secs(11))
             .compile();
-        let hand = bed()
-            .trial(9)
-            .inject_at(target, seed_src)
-            .run(one)
-            .clear_log()
-            .inject(&probe)
-            .run(SimDuration::from_secs(10));
+        let hand = hand_script(
+            9,
+            vec![
+                TrialStep::Inject {
+                    at: Some(target),
+                    source: seed_src.to_string(),
+                },
+                TrialStep::Run(one),
+                TrialStep::ClearLog,
+                TrialStep::Inject {
+                    at: None,
+                    source: probe.clone(),
+                },
+                TrialStep::Run(SimDuration::from_secs(10)),
+            ],
+        );
         // TryInject vs Inject is the one deliberate difference; compare the
         // rest of the shape via Debug.
         let canon = |steps: &[TrialStep]| {

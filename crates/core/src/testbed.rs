@@ -4,8 +4,9 @@
 //! seeded, run-to-completion* trials: build a network, inject one or two
 //! agents, advance virtual time, read the experiment log. Before this
 //! module each figure binary carried its own copy of that loop; now they
-//! all describe trials as data — a [`TrialSpec`] minted by a [`Testbed`] —
-//! and execute them with [`TrialSpec::execute`].
+//! all describe trials as data — a [`ScenarioSpec`] minted by a
+//! [`Testbed`], compiled to a [`TrialSpec`] step script — and execute them
+//! with [`TrialSpec::execute`].
 //!
 //! A spec is `Clone + Send + Sync` and a trial's outcome is a pure function
 //! of its spec, so an executor is free to run specs in any order on any
@@ -20,6 +21,7 @@
 //! # Examples
 //!
 //! ```
+//! use agilla::scenario::OneShot;
 //! use agilla::testbed::Testbed;
 //! use agilla::{workload, AgillaConfig};
 //! use wsn_common::Location;
@@ -27,9 +29,9 @@
 //!
 //! let bed = Testbed::reliable_5x5(AgillaConfig::default(), 42);
 //! let spec = bed
-//!     .trial(7)
-//!     .inject(workload::rout_test_agent(Location::new(1, 1)))
-//!     .run(SimDuration::from_secs(5));
+//!     .scenario(7)
+//!     .traffic(OneShot::at_base(workload::rout_test_agent(Location::new(1, 1))))
+//!     .horizon(SimDuration::from_secs(5));
 //! let trial = spec.execute();
 //! assert_eq!(trial.agents.len(), 1);
 //! assert!(trial.net.log().remote_ops_of(trial.agents[0]).len() <= 1);
@@ -46,7 +48,7 @@ use crate::config::AgillaConfig;
 use crate::env::Environment;
 use crate::error::{AdmissionReason, AgillaError};
 use crate::network::AgillaNetwork;
-use crate::scenario::{ClosedLoop, InjectionSite};
+use crate::scenario::{ClosedLoop, InjectionSite, ScenarioSpec};
 
 /// The radio substrate a trial runs on.
 #[derive(Debug, Clone)]
@@ -151,92 +153,6 @@ pub struct TrialSpec {
 }
 
 impl TrialSpec {
-    /// Appends an injection at the base station.
-    #[must_use]
-    pub fn inject(mut self, source: impl Into<String>) -> Self {
-        self.steps.push(TrialStep::Inject {
-            at: None,
-            source: source.into(),
-        });
-        self
-    }
-
-    /// Appends an injection at the node addressed by `loc`.
-    #[must_use]
-    pub fn inject_at(mut self, loc: Location, source: impl Into<String>) -> Self {
-        self.steps.push(TrialStep::Inject {
-            at: Some(loc),
-            source: source.into(),
-        });
-        self
-    }
-
-    /// Appends a simulation advance.
-    #[must_use]
-    pub fn run(mut self, d: SimDuration) -> Self {
-        self.steps.push(TrialStep::Run(d));
-        self
-    }
-
-    /// Appends an experiment-log clear (between setup and measurement).
-    #[must_use]
-    pub fn clear_log(mut self) -> Self {
-        self.steps.push(TrialStep::ClearLog);
-        self
-    }
-
-    /// Appends a mid-run fault-injection perturbation.
-    #[must_use]
-    pub fn perturb(mut self, p: crate::scenario::Perturbation) -> Self {
-        self.steps.push(TrialStep::Perturb(p));
-        self
-    }
-
-    /// Appends a tenant-application registration.
-    #[must_use]
-    pub fn register_app(mut self, profile: AppProfile) -> Self {
-        self.steps.push(TrialStep::RegisterApp(profile));
-        self
-    }
-
-    /// Appends an app-owned open-loop arrival (refusals are outcomes,
-    /// counted per reason).
-    #[must_use]
-    pub fn try_inject_as(
-        mut self,
-        at: Option<Location>,
-        source: impl Into<String>,
-        app: AppId,
-    ) -> Self {
-        self.steps.push(TrialStep::TryInjectAs {
-            at,
-            source: source.into(),
-            app,
-        });
-        self
-    }
-
-    /// Replaces the environment model.
-    #[must_use]
-    pub fn with_env(mut self, env: Environment) -> Self {
-        self.env = env;
-        self
-    }
-
-    /// Replaces the motion plan (installed at build time, before any step).
-    #[must_use]
-    pub fn with_motion(mut self, plan: MotionPlan) -> Self {
-        self.motion = plan;
-        self
-    }
-
-    /// Adds a closed-loop client (driven during `Run` steps).
-    #[must_use]
-    pub fn client(mut self, client: ClosedLoop) -> Self {
-        self.clients.push(client);
-        self
-    }
-
     /// Constructs the network without running any steps — for scenarios
     /// that need custom driving (stepped sampling, early exit on a
     /// predicate) on top of the standard substrate.
@@ -549,16 +465,21 @@ impl Testbed {
         &self.config
     }
 
-    /// Mints a [`TrialSpec`] with seed `base_seed ^ seed_mix` and no steps.
-    pub fn trial(&self, seed_mix: u64) -> TrialSpec {
-        TrialSpec {
+    /// Mints an empty [`ScenarioSpec`] with seed `base_seed ^ seed_mix`.
+    pub fn scenario(&self, seed_mix: u64) -> ScenarioSpec {
+        ScenarioSpec {
             topology: self.topology.clone(),
             config: self.config.clone(),
             env: Environment::ambient(),
             seed: self.base_seed ^ seed_mix,
-            steps: Vec::new(),
+            horizon: SimDuration::ZERO,
+            traffic: Vec::new(),
+            apps: Vec::new(),
+            app_alloc: None,
+            events: Vec::new(),
             motion: MotionPlan::new(),
             clients: Vec::new(),
+            measure_from: None,
         }
     }
 }
@@ -566,8 +487,8 @@ impl Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::OneShot;
     use crate::workload;
-    use wsn_sim::SimTime;
 
     #[test]
     fn spec_execution_matches_hand_built_network() {
@@ -580,9 +501,9 @@ mod tests {
         hand.run_for(SimDuration::from_secs(10));
 
         let trial = Testbed::lossy_5x5(config, seed)
-            .trial(0)
-            .inject(&src)
-            .run(SimDuration::from_secs(10))
+            .scenario(0)
+            .traffic(OneShot::at_base(&src))
+            .horizon(SimDuration::from_secs(10))
             .execute();
 
         assert_eq!(trial.agent(0), hand_id);
@@ -603,9 +524,9 @@ mod tests {
     #[test]
     fn specs_are_pure_same_spec_same_outcome() {
         let spec = Testbed::lossy_5x5(AgillaConfig::default(), 7)
-            .trial(99)
-            .inject(workload::SMOVE_TEST_AGENT)
-            .run(SimDuration::from_secs(8));
+            .scenario(99)
+            .traffic(OneShot::at_base(workload::SMOVE_TEST_AGENT))
+            .horizon(SimDuration::from_secs(8));
         let a = spec.clone().execute();
         let b = spec.execute();
         assert_eq!(a.net.log().records(), b.net.log().records());
@@ -615,13 +536,13 @@ mod tests {
     #[test]
     fn clear_log_separates_setup_from_measurement() {
         let target = Location::new(1, 1);
+        let setup = SimDuration::from_secs(1);
         let trial = Testbed::reliable_5x5(AgillaConfig::default(), 3)
-            .trial(0)
-            .inject_at(target, "pushc 1\npushc 1\nout\nhalt")
-            .run(SimDuration::from_secs(1))
-            .clear_log()
-            .inject(workload::rout_test_agent(target))
-            .run(SimDuration::from_secs(5))
+            .scenario(0)
+            .traffic(OneShot::at(target, "pushc 1\npushc 1\nout\nhalt"))
+            .traffic(OneShot::at_base(workload::rout_test_agent(target)).delayed(setup))
+            .measure_from(setup)
+            .horizon(SimDuration::from_secs(6))
             .execute();
         // Setup activity is gone; only the measured agent's records remain.
         assert!(trial
@@ -682,8 +603,8 @@ mod tests {
     #[test]
     fn line_topology_builds_quiet_two_node_link() {
         let trial = Testbed::line(2, AgillaConfig::default(), 5)
-            .trial(1)
-            .run(SimDuration::from_secs(1))
+            .scenario(1)
+            .horizon(SimDuration::from_secs(1))
             .execute();
         assert_eq!(trial.net.medium().topology().len(), 2);
         assert!(trial.agents.is_empty());

@@ -743,11 +743,8 @@ fn preemption_with_free_slots_but_full_code_blocks_pins_its_victims() {
     let l2 = net.inject_source_as(&b10, AppId(1)).unwrap();
     net.run_for(SimDuration::from_secs(1));
     assert_eq!(net.node(base).agents(), vec![l1, l2]);
-    assert!(
-        !net.node(base).can_admit(1, net.config()),
-        "code blocks full"
-    );
-    // So preemption fires while fewer than `max_agents` agents are
+    assert!(!net.node(base).can_admit(1), "code blocks full");
+    // So preemption fires while fewer than `MAX_AGENTS` agents are
     // resident: slot 0 goes, and the arrival halts at once.
     let h1 = net.inject_source_as("halt", AppId(2)).unwrap();
     net.run_for(SimDuration::from_secs(1));

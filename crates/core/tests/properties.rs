@@ -1,6 +1,7 @@
 //! Network-level property tests: whatever agents do, the middleware's
 //! resource invariants hold and the simulation stays deterministic.
 
+use agilla::config::{CODE_BLOCKS, MAX_AGENTS, REACTION_REGISTRY_SLOTS, TUPLE_SPACE_BYTES};
 use agilla::{AgillaConfig, AgillaNetwork, Environment};
 use proptest::prelude::*;
 use wsn_common::Location;
@@ -33,12 +34,11 @@ fn stress_ten_by_ten_grid() {
         );
     }
     net.run_for(SimDuration::from_secs(60));
-    let config = net.config().clone();
     for id in 0..101u16 {
         let node = net.node(wsn_common::NodeId(id));
-        assert!(node.agents().len() <= config.max_agents);
-        assert!(node.space.used_bytes() <= config.tuple_space_bytes);
-        assert!(node.blocks_used(config.code_block_bytes) <= config.code_blocks);
+        assert!(node.agents().len() <= MAX_AGENTS);
+        assert!(node.space.used_bytes() <= TUPLE_SPACE_BYTES);
+        assert!(node.blocks_used() <= CODE_BLOCKS);
     }
     // Substantial activity happened and completed.
     assert!(net.medium().frames_sent() > 1_000);
@@ -105,14 +105,13 @@ proptest! {
             let _ = net.inject_source_at(loc, src);
         }
         net.run_for(SimDuration::from_secs(20));
-        let config = net.config().clone();
         for id in 0..26u16 {
             let node = net.node(wsn_common::NodeId(id));
-            prop_assert!(node.agents().len() <= config.max_agents);
-            prop_assert!(node.space.used_bytes() <= config.tuple_space_bytes);
-            prop_assert!(node.registry.len() <= config.reaction_registry_slots);
+            prop_assert!(node.agents().len() <= MAX_AGENTS);
+            prop_assert!(node.space.used_bytes() <= TUPLE_SPACE_BYTES);
+            prop_assert!(node.registry.len() <= REACTION_REGISTRY_SLOTS);
             prop_assert!(
-                node.blocks_used(config.code_block_bytes) <= config.code_blocks,
+                node.blocks_used() <= CODE_BLOCKS,
                 "instruction-manager budget respected"
             );
         }

@@ -3,8 +3,8 @@
 //! outcomes, the escape hatch restores accept-anything, and every shipped
 //! workload clears the verifier on a live network.
 
-use agilla::testbed::{Testbed, TrialStep};
-use agilla::{workload, AdmissionReason, AgillaConfig, AgillaError, AgillaNetwork};
+use agilla::testbed::Testbed;
+use agilla::{workload, AdmissionReason, AgillaConfig, AgillaError, AgillaNetwork, OneShot};
 use wsn_common::Location;
 
 fn build(verify: bool) -> AgillaNetwork {
@@ -54,12 +54,9 @@ fn every_workload_program_injects_with_verification_on() {
 
 #[test]
 fn try_inject_counts_unverifiable_arrivals_as_rejected() {
-    let mut spec = Testbed::reliable_5x5(AgillaConfig::default(), 7).trial(0);
+    let mut spec = Testbed::reliable_5x5(AgillaConfig::default(), 7).scenario(0);
     for source in ["pop\nhalt", workload::BLINK_AGENT, "add\nhalt"] {
-        spec.steps.push(TrialStep::TryInject {
-            at: None,
-            source: source.to_string(),
-        });
+        spec = spec.traffic(OneShot::at_base(source));
     }
     let trial = spec.execute();
     assert_eq!(

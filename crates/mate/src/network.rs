@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use wsn_common::NodeId;
-use wsn_net::{ActiveMessage, AmType, CsmaMac, MacConfig};
+use wsn_net::{ActiveMessage, AmType, CsmaMac};
 use wsn_radio::{DeliveryOutcome, Frame, LossModel, Medium, Topology};
 use wsn_sim::{EventQueue, Metrics, RngStream, SimDuration, SimTime};
 
@@ -97,7 +97,7 @@ impl MateNetwork {
             queue: EventQueue::new(),
             medium,
             nodes,
-            mac: CsmaMac::new(MacConfig::mica2()),
+            mac: CsmaMac::new(None),
             rng: RngStream::derive(seed, "mate"),
             metrics: Metrics::new(),
             clock: SimTime::ZERO,

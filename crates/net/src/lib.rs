@@ -23,6 +23,6 @@ pub mod neighbors;
 
 pub use beacon::{decode_beacon, encode_beacon, BEACON_PERIOD};
 pub use georouting::{next_hop, next_hop_candidates, reached};
-pub use mac::{CsmaMac, LplConfig, MacConfig};
+pub use mac::{CsmaMac, LplConfig};
 pub use message::{ActiveMessage, AmType};
 pub use neighbors::AcquaintanceList;

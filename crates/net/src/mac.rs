@@ -44,113 +44,75 @@ impl LplConfig {
     }
 }
 
-/// Tunable MAC timing parameters.
-#[derive(Debug, Clone)]
-pub struct MacConfig {
-    /// Minimum initial backoff before transmitting, µs.
-    pub backoff_min_us: u64,
-    /// Maximum initial backoff, µs.
-    pub backoff_max_us: u64,
-    /// Extra delay per congestion retry when the channel stays busy, µs.
-    pub congestion_step_us: u64,
-    /// Software path cost per send: task posting, buffer copy, SPI transfer
-    /// to the radio, µs. Calibrated so that a request/reply remote
-    /// tuple-space operation lands at the paper's ≈55 ms (Section 4).
-    pub tx_processing_us: u64,
-    /// Software path cost per receive: interrupt, CRC, dispatch, µs.
-    pub rx_processing_us: u64,
-    /// Low-power listening; `None` keeps the radio always on (the paper's
-    /// configuration) with timing bit-for-bit unchanged.
-    pub lpl: Option<LplConfig>,
-}
+/// Minimum initial backoff before transmitting, µs (the calibrated
+/// MICA2/TinyOS profile; see the loss-model docs in `wsn_radio`).
+pub const BACKOFF_MIN_US: u64 = 400;
 
-impl MacConfig {
-    /// The calibrated MICA2/TinyOS profile (see the loss-model docs in `wsn_radio`).
-    pub fn mica2() -> Self {
-        MacConfig {
-            backoff_min_us: 400,
-            backoff_max_us: 6_400,
-            congestion_step_us: 3_200,
-            tx_processing_us: 9_000,
-            rx_processing_us: 4_000,
-            lpl: None,
-        }
-    }
+/// Maximum initial backoff, µs.
+pub const BACKOFF_MAX_US: u64 = 6_400;
 
-    /// The MICA2 profile with B-MAC low-power listening at `check_interval`.
-    pub fn mica2_lpl(check_interval: SimDuration) -> Self {
-        MacConfig {
-            lpl: Some(LplConfig::with_interval(check_interval)),
-            ..MacConfig::mica2()
-        }
-    }
-}
+/// Extra delay per congestion retry when the channel stays busy, µs.
+pub const CONGESTION_STEP_US: u64 = 3_200;
 
-impl Default for MacConfig {
-    fn default() -> Self {
-        MacConfig::mica2()
-    }
-}
+/// Software path cost per send: task posting, buffer copy, SPI transfer to
+/// the radio, µs. Calibrated so that a request/reply remote tuple-space
+/// operation lands at the paper's ≈55 ms (Section 4).
+pub const TX_PROCESSING_US: u64 = 9_000;
+
+/// Software path cost per receive: interrupt, CRC, dispatch, µs.
+pub const RX_PROCESSING_US: u64 = 4_000;
 
 /// The MAC decision component: backoff and processing delays.
 ///
 /// # Examples
 ///
 /// ```
-/// use wsn_net::{CsmaMac, MacConfig};
+/// use wsn_net::CsmaMac;
 /// use wsn_sim::RngStream;
 ///
-/// let mac = CsmaMac::new(MacConfig::mica2());
+/// let mac = CsmaMac::new(None);
 /// let mut rng = RngStream::derive(1, "mac");
 /// let d = mac.initial_backoff(&mut rng);
 /// assert!(d.as_micros() >= 400 && d.as_micros() <= 6_400);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CsmaMac {
-    config: MacConfig,
+    lpl: Option<LplConfig>,
 }
 
 impl CsmaMac {
-    /// Creates a MAC with the given configuration.
-    pub fn new(config: MacConfig) -> Self {
-        CsmaMac { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MacConfig {
-        &self.config
+    /// Creates a MAC with the MICA2 timing and an optional low-power
+    /// listening mode; `None` keeps the radio always on (the paper's
+    /// configuration).
+    pub fn new(lpl: Option<LplConfig>) -> Self {
+        CsmaMac { lpl }
     }
 
     /// Random delay before the first carrier-sense attempt.
     pub fn initial_backoff(&self, rng: &mut RngStream) -> SimDuration {
-        let us = rng.range_u64(self.config.backoff_min_us, self.config.backoff_max_us + 1);
-        SimDuration::from_micros(us)
+        SimDuration::from_micros(rng.range_u64(BACKOFF_MIN_US, BACKOFF_MAX_US + 1))
     }
 
     /// Random delay before retrying after sensing a busy channel; grows
     /// linearly with the retry count (bounded congestion backoff).
     pub fn congestion_backoff(&self, rng: &mut RngStream, attempt: u32) -> SimDuration {
-        let step = self.config.congestion_step_us * u64::from(attempt.min(8) + 1);
-        let us = rng.range_u64(
-            self.config.backoff_min_us,
-            self.config.backoff_min_us + step + 1,
-        );
-        SimDuration::from_micros(us)
+        let step = CONGESTION_STEP_US * u64::from(attempt.min(8) + 1);
+        SimDuration::from_micros(rng.range_u64(BACKOFF_MIN_US, BACKOFF_MIN_US + step + 1))
     }
 
     /// Fixed software cost added before a frame hits the air.
     pub fn tx_processing(&self) -> SimDuration {
-        SimDuration::from_micros(self.config.tx_processing_us)
+        SimDuration::from_micros(TX_PROCESSING_US)
     }
 
     /// Fixed software cost between frame arrival and handler dispatch.
     pub fn rx_processing(&self) -> SimDuration {
-        SimDuration::from_micros(self.config.rx_processing_us)
+        SimDuration::from_micros(RX_PROCESSING_US)
     }
 
     /// The low-power-listening mode, if one is configured.
     pub fn lpl(&self) -> Option<&LplConfig> {
-        self.config.lpl.as_ref()
+        self.lpl.as_ref()
     }
 }
 
@@ -160,7 +122,7 @@ mod tests {
 
     #[test]
     fn initial_backoff_within_bounds() {
-        let mac = CsmaMac::new(MacConfig::mica2());
+        let mac = CsmaMac::new(None);
         let mut rng = RngStream::derive(7, "t");
         for _ in 0..1000 {
             let d = mac.initial_backoff(&mut rng).as_micros();
@@ -170,7 +132,7 @@ mod tests {
 
     #[test]
     fn congestion_backoff_grows_with_attempts() {
-        let mac = CsmaMac::new(MacConfig::mica2());
+        let mac = CsmaMac::new(None);
         let mut rng = RngStream::derive(8, "t");
         let avg = |attempt: u32, rng: &mut RngStream| -> u64 {
             (0..500)
@@ -185,10 +147,10 @@ mod tests {
 
     #[test]
     fn congestion_backoff_is_capped() {
-        let mac = CsmaMac::new(MacConfig::mica2());
+        let mac = CsmaMac::new(None);
         let mut rng = RngStream::derive(9, "t");
         // Attempt counts beyond 8 are clamped.
-        let max_step = mac.config().congestion_step_us * 9 + mac.config().backoff_min_us;
+        let max_step = CONGESTION_STEP_US * 9 + BACKOFF_MIN_US;
         for _ in 0..200 {
             let d = mac.congestion_backoff(&mut rng, 1000).as_micros();
             assert!(d <= max_step);
@@ -197,7 +159,7 @@ mod tests {
 
     #[test]
     fn processing_costs_exposed() {
-        let mac = CsmaMac::new(MacConfig::mica2());
+        let mac = CsmaMac::new(None);
         assert_eq!(mac.tx_processing().as_micros(), 9_000);
         assert_eq!(mac.rx_processing().as_micros(), 4_000);
         assert!(mac.lpl().is_none(), "the paper's stack is always-on");
@@ -215,17 +177,5 @@ mod tests {
         // Degenerate tiny interval clamps to always-on.
         let tiny = LplConfig::with_interval(SimDuration::from_micros(10));
         assert_eq!(tiny.listen_duty(), 1.0);
-    }
-
-    #[test]
-    fn mica2_lpl_profile_only_differs_in_lpl() {
-        let plain = MacConfig::mica2();
-        let lpl = MacConfig::mica2_lpl(SimDuration::from_millis(50));
-        assert_eq!(plain.backoff_min_us, lpl.backoff_min_us);
-        assert_eq!(plain.tx_processing_us, lpl.tx_processing_us);
-        assert_eq!(
-            lpl.lpl,
-            Some(LplConfig::with_interval(SimDuration::from_millis(50)))
-        );
     }
 }

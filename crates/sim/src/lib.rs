@@ -17,7 +17,7 @@
 //! * [`rng::RngStream`] — named, independently-seeded random streams, so that
 //!   (for example) radio loss draws do not perturb workload draws.
 //! * [`trace::Tracer`] — a bounded structured trace used by tests and benches.
-//! * [`metrics::Metrics`] — counters and latency recorders with percentiles;
+//! * [`metrics::Metrics`] — counters and log-bucket histograms by name;
 //!   hot paths pre-register [`metrics::CounterId`] handles and bump a flat
 //!   array, with string names resolved only at registration and report time.
 //!
@@ -44,7 +44,7 @@ pub mod time;
 pub mod trace;
 
 pub use event::{EventId, EventQueue};
-pub use metrics::{CounterId, Histogram, HistogramId, LatencyRecorder, Metrics};
+pub use metrics::{CounterId, Histogram, LatencyRecorder, Metrics};
 pub use rng::RngStream;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceRecord, Tracer};

@@ -263,20 +263,6 @@ impl Histogram {
     }
 }
 
-/// A pre-registered handle to one histogram in a [`Metrics`] registry.
-///
-/// The histogram counterpart of [`CounterId`]: the name is resolved once
-/// at registration, and [`Metrics::observe`] through the id is an indexed
-/// bucket bump with no string-key lookup. The same registry-nonce rule
-/// applies — an id is only meaningful for the registry that minted it,
-/// and debug builds assert it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId {
-    slot: u32,
-    /// Which registry minted this id (debug-checked on every use).
-    registry: u32,
-}
-
 /// A pre-registered handle to one counter in a [`Metrics`] registry.
 ///
 /// Resolving a counter's string name costs a `BTreeMap` walk; on the
@@ -304,7 +290,7 @@ pub struct CounterId {
 /// Source of per-registry nonces for the debug cross-registry check.
 static REGISTRY_NONCES: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
 
-/// A registry of named counters and latency recorders.
+/// A registry of named counters and histograms.
 ///
 /// Counters live in a flat `Vec<u64>` indexed by [`CounterId`]; a
 /// `BTreeMap` maps names to slots and keeps report ordering deterministic.
@@ -344,10 +330,9 @@ pub struct Metrics {
     /// This registry's identity, stamped into every id it mints so debug
     /// builds can catch an id being used against the wrong registry.
     nonce: u32,
-    latencies: BTreeMap<Cow<'static, str>, LatencyRecorder>,
     /// Name → slot for histograms (a separate namespace from counters).
     hist_index: BTreeMap<Cow<'static, str>, u32>,
-    /// Histogram storage, indexed by [`HistogramId`].
+    /// Histogram storage, indexed by the slots in `hist_index`.
     hists: Vec<Histogram>,
 }
 
@@ -358,7 +343,6 @@ impl Default for Metrics {
             counts: Vec::new(),
             written: Vec::new(),
             nonce: REGISTRY_NONCES.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            latencies: BTreeMap::new(),
             hist_index: BTreeMap::new(),
             hists: Vec::new(),
         }
@@ -415,28 +399,6 @@ impl Metrics {
         self.counts[id.slot as usize] += 1;
     }
 
-    /// Adds `delta` to the counter behind `id` (see [`Metrics::bump`]).
-    /// A zero `delta` does not make the counter visible in reports.
-    ///
-    /// # Panics
-    ///
-    /// As [`Metrics::bump`].
-    #[inline]
-    pub fn bump_by(&mut self, id: CounterId, delta: u64) {
-        self.check(id);
-        self.counts[id.slot as usize] += delta;
-    }
-
-    /// Reads the counter behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// As [`Metrics::bump`].
-    pub fn value(&self, id: CounterId) -> u64 {
-        self.check(id);
-        self.counts[id.slot as usize]
-    }
-
     /// Adds `delta` to counter `name`, creating it at zero if absent.
     pub fn add(&mut self, name: impl Into<Cow<'static, str>>, delta: u64) {
         let id = self.register(name);
@@ -464,48 +426,26 @@ impl Metrics {
             .map_or(0, |&slot| self.counts[slot as usize])
     }
 
-    /// Resolves `name` to a [`HistogramId`], registering an empty
-    /// histogram on first sight. Histograms live in their own namespace:
-    /// a histogram and a counter may share a name without colliding.
-    pub fn register_histogram(&mut self, name: impl Into<Cow<'static, str>>) -> HistogramId {
-        let name = name.into();
-        if let Some(&slot) = self.hist_index.get(&name) {
-            return HistogramId {
-                slot,
-                registry: self.nonce,
-            };
-        }
-        let slot = u32::try_from(self.hists.len()).expect("fewer than 2^32 histograms");
-        self.hist_index.insert(name, slot);
-        self.hists.push(Histogram::new());
-        HistogramId {
-            slot,
-            registry: self.nonce,
-        }
-    }
-
-    /// Records one observation into the histogram behind `id` — the hot
-    /// path: a bucket index bump, no string-key lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` came from a different registry: always in debug
-    /// builds (nonce check); in release builds only when the foreign slot
-    /// is out of range.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, value: u64) {
-        debug_assert_eq!(
-            id.registry, self.nonce,
-            "HistogramId used against a registry that did not mint it"
-        );
-        self.hists[id.slot as usize].record(value);
+    /// The histogram under `name`, created empty on first sight.
+    /// Histograms live in their own namespace: a histogram and a counter
+    /// may share a name without colliding.
+    fn histogram_mut(&mut self, name: Cow<'static, str>) -> &mut Histogram {
+        let slot = match self.hist_index.get(&name) {
+            Some(&slot) => slot,
+            None => {
+                let slot = u32::try_from(self.hists.len()).expect("fewer than 2^32 histograms");
+                self.hist_index.insert(name, slot);
+                self.hists.push(Histogram::new());
+                slot
+            }
+        };
+        &mut self.hists[slot as usize]
     }
 
     /// Records one observation into histogram `name`, creating it empty
     /// if absent.
     pub fn observe_named(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
-        let id = self.register_histogram(name);
-        self.hists[id.slot as usize].record(value);
+        self.histogram_mut(name.into()).record(value);
     }
 
     /// Returns the histogram under `name`, if it holds any observations.
@@ -524,25 +464,14 @@ impl Metrics {
             .map(|(k, &slot)| (k.as_ref(), &self.hists[slot as usize]))
     }
 
-    /// Records a latency sample under `name`.
-    pub fn record_latency(&mut self, name: impl Into<Cow<'static, str>>, d: SimDuration) {
-        self.latencies.entry(name.into()).or_default().record(d);
-    }
-
-    /// Returns the recorder for `name`, if any samples exist.
-    pub fn latency(&self, name: &str) -> Option<&LatencyRecorder> {
-        self.latencies.get(name)
-    }
-
     /// Whether the slot should appear in reports and merges.
     fn visible(&self, slot: u32) -> bool {
         self.counts[slot as usize] != 0 || self.written[slot as usize]
     }
 
-    /// Folds another registry into this one: counters are summed **by
-    /// name** (ids are registry-local and may disagree between registries
-    /// that registered in different orders) and latency samples appended
-    /// in `other`'s record order.
+    /// Folds another registry into this one: counters are summed and
+    /// histograms folded **by name** (ids are registry-local and may
+    /// disagree between registries that registered in different orders).
     ///
     /// This is how a trial executor merges per-trial metrics without
     /// cross-thread contention: each trial accumulates into its own
@@ -556,19 +485,11 @@ impl Metrics {
                 self.add(name.clone(), other.counts[slot as usize]);
             }
         }
-        for (name, recorder) in &other.latencies {
-            let mine = self.latencies.entry(name.clone()).or_default();
-            for &us in recorder.samples() {
-                mine.record(SimDuration::from_micros(us));
-            }
-        }
         for (name, &slot) in &other.hist_index {
             let theirs = &other.hists[slot as usize];
-            if theirs.is_empty() {
-                continue;
+            if !theirs.is_empty() {
+                self.histogram_mut(name.clone()).merge(theirs);
             }
-            let id = self.register_histogram(name.clone());
-            self.hists[id.slot as usize].merge(theirs);
         }
     }
 
@@ -578,11 +499,6 @@ impl Metrics {
             .iter()
             .filter(|(_, &slot)| self.visible(slot))
             .map(|(k, &slot)| (k.as_ref(), self.counts[slot as usize]))
-    }
-
-    /// Iterates latency recorders in name order.
-    pub fn latencies(&self) -> impl Iterator<Item = (&str, &LatencyRecorder)> + '_ {
-        self.latencies.iter().map(|(k, v)| (k.as_ref(), v))
     }
 }
 
@@ -657,9 +573,8 @@ mod tests {
         let rx = m.register("rx");
         assert_eq!(m.register("tx"), tx, "re-registration is idempotent");
         m.bump(tx);
-        m.bump_by(tx, 4);
-        assert_eq!(m.value(tx), 5);
-        assert_eq!(m.counter("tx"), 5);
+        m.bump(tx);
+        assert_eq!(m.counter("tx"), 2);
         // Named and id-based writes land on the same slot.
         m.incr("rx");
         m.bump(rx);
@@ -672,7 +587,7 @@ mod tests {
         let a = m.register("quiet");
         m.incr("busy");
         assert_eq!(m.counters().collect::<Vec<_>>(), vec![("busy", 1)]);
-        assert_eq!(m.value(a), 0);
+        assert_eq!(m.counter("quiet"), 0);
         // An explicit zero through the named API *is* a report entry…
         m.set("gauge", 0);
         assert_eq!(
@@ -713,10 +628,12 @@ mod tests {
         let mut b = Metrics::new();
         let b_rx = b.register("rx");
         let b_tx = b.register("tx");
-        a.bump_by(a_tx, 10);
-        a.bump_by(a_rx, 1);
-        b.bump_by(b_tx, 100);
-        b.bump_by(b_rx, 2);
+        for (id, n) in [(a_tx, 10), (a_rx, 1)] {
+            (0..n).for_each(|_| a.bump(id));
+        }
+        for (id, n) in [(b_tx, 100), (b_rx, 2)] {
+            (0..n).for_each(|_| b.bump(id));
+        }
         a.merge(&b);
         assert_eq!(a.counter("tx"), 110);
         assert_eq!(a.counter("rx"), 3);
@@ -747,27 +664,20 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_latency_names() {
-        let mut m = Metrics::new();
-        m.record_latency(format!("op.{}", 3), SimDuration::from_millis(4));
-        assert_eq!(m.latency("op.3").unwrap().len(), 1);
-    }
-
-    #[test]
     fn merge_sums_counters_and_appends_latencies() {
         let mut a = Metrics::new();
         a.add("tx", 2);
-        a.record_latency("op", SimDuration::from_millis(10));
+        a.observe_named("op", 10);
         let mut b = Metrics::new();
         b.add("tx", 3);
         b.add("rx", 1);
-        b.record_latency("op", SimDuration::from_millis(30));
+        b.observe_named("op", 30);
         a.merge(&b);
         assert_eq!(a.counter("tx"), 5);
         assert_eq!(a.counter("rx"), 1);
-        let r = a.latency("op").unwrap();
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.mean().as_millis(), 20);
+        let h = a.histogram("op").unwrap();
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.mean(), 20);
     }
 
     #[test]
@@ -807,17 +717,11 @@ mod tests {
     #[test]
     fn histogram_ids_observe_without_name_lookups() {
         let mut m = Metrics::new();
-        let lat = m.register_histogram("op.latency_us");
-        assert_eq!(
-            m.register_histogram("op.latency_us"),
-            lat,
-            "re-registration is idempotent"
-        );
-        m.observe(lat, 100);
+        m.observe_named("op.latency_us", 100);
         m.observe_named("op.latency_us", 200);
         assert_eq!(m.histogram("op.latency_us").unwrap().count(), 2);
-        // Registered-but-empty histograms stay out of reports.
-        let _ = m.register_histogram("quiet");
+        // Created-but-empty histograms stay out of reports.
+        let _ = m.histogram_mut("quiet".into());
         assert!(m.histogram("quiet").is_none());
         let names: Vec<&str> = m.histograms().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["op.latency_us"]);
@@ -828,25 +732,13 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "did not mint it"))]
-    fn cross_registry_histogram_ids_are_caught_in_debug_builds() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        let foreign = a.register_histogram("h");
-        let _ = b.register_histogram("h");
-        b.observe(foreign, 1);
-        #[cfg(not(debug_assertions))]
-        assert_eq!(b.histogram("h").unwrap().count(), 1);
-    }
-
-    #[test]
     fn merge_folds_histograms_by_name() {
         let mut a = Metrics::new();
         a.observe_named("lat", 4);
         let mut b = Metrics::new();
         b.observe_named("lat", 700);
         b.observe_named("other", 1);
-        let _ = b.register_histogram("empty"); // never observed: not merged
+        let _ = b.histogram_mut("empty".into()); // never observed: not merged
         a.merge(&b);
         assert_eq!(a.histogram("lat").unwrap().count(), 2);
         assert_eq!(a.histogram("other").unwrap().count(), 1);
@@ -894,9 +786,8 @@ mod tests {
                 .iter()
                 .map(|trial| {
                     let mut m = Metrics::new();
-                    let id = m.register_histogram("lat");
                     for &v in trial {
-                        m.observe(id, v);
+                        m.observe_named("lat", v);
                     }
                     m
                 })
@@ -920,17 +811,6 @@ mod tests {
                 .collect();
             prop_assert_eq!(forward, serial_view);
         }
-    }
-
-    #[test]
-    fn metrics_latencies() {
-        let mut m = Metrics::new();
-        m.record_latency("op", SimDuration::from_millis(5));
-        m.record_latency("op", SimDuration::from_millis(15));
-        let r = m.latency("op").unwrap();
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.mean().as_millis(), 10);
-        assert!(m.latency("nope").is_none());
     }
 
     proptest! {
@@ -980,7 +860,7 @@ mod tests {
                     let ids: Vec<CounterId> =
                         NAMES.iter().map(|n| m.register(*n)).collect();
                     for &(n, d) in trial {
-                        m.bump_by(ids[n], d);
+                        (0..d).for_each(|_| m.bump(ids[n]));
                     }
                     m
                 })

@@ -3,18 +3,12 @@
 //! Incoming applications present a *demand* — a deployment-wide load
 //! estimate derived from `agilla-analysis` static cost bounds — and the
 //! allocator places them onto topology *regions* (contiguous node-index
-//! runs). An app that fits nowhere is rejected, or queued when the
-//! allocator was built with queueing; queued apps are retried in arrival
-//! order whenever capacity is released.
+//! runs). An app that fits nowhere is rejected.
 //!
 //! Every choice is deterministic: regions are scored by (load, index), so
 //! the same arrival sequence always yields the same placements.
 
-use std::collections::VecDeque;
-
 use agilla_analysis::CostBounds;
-
-use crate::AppId;
 
 /// Fallback per-agent instruction estimate when a program has no static
 /// cost bound (unverified code, or a cyclic control-flow graph whose
@@ -52,10 +46,7 @@ pub enum Decision {
         /// Index of the chosen region.
         region: u32,
     },
-    /// No region fits now; the app waits in arrival order for released
-    /// capacity (queueing allocators only).
-    Queued,
-    /// No region fits and the allocator does not queue.
+    /// No region has enough free capacity.
     Rejected,
 }
 
@@ -64,25 +55,20 @@ pub enum Decision {
 /// # Examples
 ///
 /// ```
-/// use agilla_tenancy::{Allocator, AppId, Decision};
+/// use agilla_tenancy::{Allocator, Decision};
 ///
 /// // 25 motes, 5 regions, capacity 1000 instructions per node.
 /// let mut alloc = Allocator::new(25, 5, 1000);
-/// let d = alloc.place(AppId(0), 4000);
+/// let d = alloc.place(4000);
 /// assert_eq!(d, Decision::Placed { region: 0 });
 /// // The next app goes to the least-loaded region (ties break low).
-/// assert_eq!(alloc.place(AppId(1), 100), Decision::Placed { region: 1 });
+/// assert_eq!(alloc.place(100), Decision::Placed { region: 1 });
 /// // A demand larger than any region's free capacity is refused.
-/// assert_eq!(alloc.place(AppId(2), 6000), Decision::Rejected);
+/// assert_eq!(alloc.place(6000), Decision::Rejected);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Allocator {
     regions: Vec<Region>,
-    /// Apps waiting for capacity, in arrival order (queueing mode only).
-    queue: VecDeque<(AppId, u64)>,
-    queueing: bool,
-    /// Where each placed app sits: (app, region, demand).
-    placements: Vec<(AppId, u32, u64)>,
 }
 
 impl Allocator {
@@ -112,19 +98,7 @@ impl Allocator {
             });
             first += node_count;
         }
-        Allocator {
-            regions,
-            queue: VecDeque::new(),
-            queueing: false,
-            placements: Vec::new(),
-        }
-    }
-
-    /// Enables queueing: apps that do not fit wait for released capacity
-    /// instead of being rejected.
-    pub fn with_queueing(mut self) -> Self {
-        self.queueing = true;
-        self
+        Allocator { regions }
     }
 
     /// Deployment-wide demand estimate for an app: `agents` concurrent
@@ -140,88 +114,28 @@ impl Allocator {
         per_agent.saturating_mul(u64::from(agents.max(1)))
     }
 
-    /// Places `app` with the given demand: the least-loaded region with
+    /// Places an app with the given demand: the least-loaded region with
     /// enough free capacity wins, ties broken by lowest region index.
-    ///
-    /// In queueing mode admission is strict FIFO: while apps are waiting,
-    /// a new arrival queues behind them even if it would fit right now —
-    /// small late apps cannot starve a large early one.
-    pub fn place(&mut self, app: AppId, demand: u64) -> Decision {
-        if self.queueing && !self.queue.is_empty() {
-            self.queue.push_back((app, demand));
-            return Decision::Queued;
-        }
-        match self.best_fit(demand) {
+    pub fn place(&mut self, demand: u64) -> Decision {
+        let best = self
+            .regions
+            .iter_mut()
+            .filter(|r| r.free() >= demand)
+            .min_by_key(|r| (r.load, r.index));
+        match best {
             Some(region) => {
-                self.commit(app, region, demand);
-                Decision::Placed { region }
-            }
-            None if self.queueing => {
-                self.queue.push_back((app, demand));
-                Decision::Queued
+                region.load += demand;
+                Decision::Placed {
+                    region: region.index,
+                }
             }
             None => Decision::Rejected,
         }
     }
 
-    fn best_fit(&self, demand: u64) -> Option<u32> {
-        self.regions
-            .iter()
-            .filter(|r| r.free() >= demand)
-            .min_by_key(|r| (r.load, r.index))
-            .map(|r| r.index)
-    }
-
-    fn commit(&mut self, app: AppId, region: u32, demand: u64) {
-        self.regions[region as usize].load += demand;
-        self.placements.push((app, region, demand));
-    }
-
-    /// Releases a finished app's demand back to its region, then retries
-    /// the queue in arrival order. Returns the apps placed by the retry.
-    pub fn release(&mut self, app: AppId) -> Vec<(AppId, u32)> {
-        if let Some(pos) = self.placements.iter().position(|(a, _, _)| *a == app) {
-            let (_, region, demand) = self.placements.remove(pos);
-            let r = &mut self.regions[region as usize];
-            r.load -= demand.min(r.load);
-        }
-        self.retry_queued()
-    }
-
-    /// Retries queued apps in arrival order; each either places or stays
-    /// at its queue position (strict FIFO — a later small app does not
-    /// jump an earlier large one, so queue order is a fairness guarantee).
-    pub fn retry_queued(&mut self) -> Vec<(AppId, u32)> {
-        let mut placed = Vec::new();
-        while let Some(&(app, demand)) = self.queue.front() {
-            match self.best_fit(demand) {
-                Some(region) => {
-                    self.queue.pop_front();
-                    self.commit(app, region, demand);
-                    placed.push((app, region));
-                }
-                None => break,
-            }
-        }
-        placed
-    }
-
-    /// The region an app is currently placed on, if any.
-    pub fn placement(&self, app: AppId) -> Option<&Region> {
-        self.placements
-            .iter()
-            .find(|(a, _, _)| *a == app)
-            .map(|&(_, region, _)| &self.regions[region as usize])
-    }
-
     /// All regions, in index order.
     pub fn regions(&self) -> &[Region] {
         &self.regions
-    }
-
-    /// Apps still waiting, in arrival order.
-    pub fn queued(&self) -> impl Iterator<Item = AppId> + '_ {
-        self.queue.iter().map(|&(app, _)| app)
     }
 }
 
@@ -244,44 +158,20 @@ mod tests {
     #[test]
     fn placement_is_least_loaded_then_lowest_index() {
         let mut a = Allocator::new(20, 2, 100);
-        assert_eq!(a.place(AppId(0), 300), Decision::Placed { region: 0 });
-        assert_eq!(a.place(AppId(1), 100), Decision::Placed { region: 1 });
-        assert_eq!(a.place(AppId(2), 200), Decision::Placed { region: 1 });
+        assert_eq!(a.place(300), Decision::Placed { region: 0 });
+        assert_eq!(a.place(100), Decision::Placed { region: 1 });
+        assert_eq!(a.place(200), Decision::Placed { region: 1 });
         // Tie at 300/300 breaks to the lower index.
-        assert_eq!(a.place(AppId(3), 100), Decision::Placed { region: 0 });
+        assert_eq!(a.place(100), Decision::Placed { region: 0 });
     }
 
     #[test]
     fn oversubscription_rejects_without_queueing() {
         let mut a = Allocator::new(10, 1, 100);
-        assert_eq!(a.place(AppId(0), 900), Decision::Placed { region: 0 });
-        assert_eq!(a.place(AppId(1), 200), Decision::Rejected);
+        assert_eq!(a.place(900), Decision::Placed { region: 0 });
+        assert_eq!(a.place(200), Decision::Rejected);
         // The failed placement did not change region load.
         assert_eq!(a.regions()[0].load, 900);
-    }
-
-    #[test]
-    fn queueing_is_fifo_and_drains_on_release() {
-        let mut a = Allocator::new(10, 1, 100).with_queueing();
-        assert_eq!(a.place(AppId(0), 900), Decision::Placed { region: 0 });
-        assert_eq!(a.place(AppId(1), 500), Decision::Queued);
-        assert_eq!(a.place(AppId(2), 50), Decision::Queued);
-        // App 2 would fit right now, but strict FIFO holds it behind 1.
-        assert_eq!(a.retry_queued(), vec![]);
-        let placed = a.release(AppId(0));
-        assert_eq!(placed, vec![(AppId(1), 0), (AppId(2), 0)]);
-        assert!(a.queued().next().is_none());
-        assert_eq!(a.regions()[0].load, 550);
-    }
-
-    #[test]
-    fn placement_lookup_and_release_of_unknown_app() {
-        let mut a = Allocator::new(10, 2, 100);
-        a.place(AppId(0), 100);
-        assert_eq!(a.placement(AppId(0)).unwrap().index, 0);
-        assert!(a.placement(AppId(7)).is_none());
-        // Releasing an app that was never placed is a no-op.
-        assert_eq!(a.release(AppId(7)), vec![]);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   frees exactly what was charged (no leak, no double-free).
 //! * [`Allocator`] — the base-station admission/allocation policy: places
 //!   incoming apps onto topology regions using `agilla-analysis` static
-//!   cost bounds as the load estimate, rejecting or queueing apps that do
-//!   not fit.
+//!   cost bounds as the load estimate, rejecting apps that do not fit.
 //!
 //! The crate is deliberately free of simulator types: `agilla` (core)
 //! threads [`AppId`] through injection, migration, and clone paths and

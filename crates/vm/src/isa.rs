@@ -379,6 +379,9 @@ pub enum EnergyClass {
     Radio,
 }
 
+/// Cost of a fired-reaction context switch, µs of simulated mote time.
+pub const REACTION_DISPATCH_US: u64 = 120;
+
 impl Opcode {
     /// The power state this instruction's execution time belongs to.
     pub fn energy_class(self) -> EnergyClass {
@@ -389,33 +392,18 @@ impl Opcode {
             _ => EnergyClass::Cpu,
         }
     }
-}
 
-/// Per-instruction execution cost, in microseconds of mote CPU time.
-///
-/// Calibrated to Fig. 12's three classes: "The first class ... take about
-/// 75µs. The second class ... around 150µs. The last group ... averaging
-/// 292µs", with `in`/`rd` slightly above their non-blocking versions and
-/// `in` above `rd` (Section 4). These costs drive the engine's virtual
-/// clock; `fig12_local_ops` measures our real execution cost separately.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Cost of a fired-reaction context switch, µs.
-    pub reaction_dispatch_us: u64,
-}
-
-impl CostModel {
-    /// The calibrated MICA2 cost model.
-    pub fn mica2() -> Self {
-        CostModel {
-            reaction_dispatch_us: 120,
-        }
-    }
-
-    /// Execution cost of `op`, µs of simulated mote time.
-    pub fn cost_us(&self, op: Opcode) -> u64 {
+    /// Execution cost of this instruction, µs of simulated mote CPU time.
+    ///
+    /// Calibrated to Fig. 12's three classes: "The first class ... take
+    /// about 75µs. The second class ... around 150µs. The last group ...
+    /// averaging 292µs", with `in`/`rd` slightly above their non-blocking
+    /// versions and `in` above `rd` (Section 4). These costs drive the
+    /// engine's virtual clock; `fig12_local_ops` measures our real
+    /// execution cost separately.
+    pub fn cost_us(self) -> u64 {
         use Opcode::*;
-        match op {
+        match self {
             // Class 1 (~75µs): plain pushes of known values, no computation.
             Loc => 75,
             Aid => 72,
@@ -454,12 +442,6 @@ impl CostModel {
             Smove | Wmove | Sclone | Wclone => 180,
             Rout | Rinp | Rrdp => 175,
         }
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::mica2()
     }
 }
 
@@ -576,10 +558,9 @@ mod tests {
 
     #[test]
     fn cost_classes_match_figure_12() {
-        let m = CostModel::mica2();
         // Class 1 around 75µs.
         for op in [Opcode::Loc, Opcode::Aid, Opcode::Numnbrs, Opcode::Pushc] {
-            let c = m.cost_us(op);
+            let c = op.cost_us();
             assert!((50..=100).contains(&c), "{op}: {c}");
         }
         // Class 2 around 150µs.
@@ -592,7 +573,7 @@ mod tests {
             Opcode::Regrxn,
             Opcode::Deregrxn,
         ] {
-            let c = m.cost_us(op);
+            let c = op.cost_us();
             assert!((130..=170).contains(&c), "{op}: {c}");
         }
         // Class 3 around 292µs; blocking > non-blocking; in > rd.
@@ -604,22 +585,21 @@ mod tests {
             Opcode::Rd,
             Opcode::Tcount,
         ] {
-            let c = m.cost_us(op);
+            let c = op.cost_us();
             assert!((250..=320).contains(&c), "{op}: {c}");
         }
-        assert!(m.cost_us(Opcode::In) > m.cost_us(Opcode::Inp));
-        assert!(m.cost_us(Opcode::Rd) > m.cost_us(Opcode::Rdp));
-        assert!(m.cost_us(Opcode::In) > m.cost_us(Opcode::Rd));
-        assert!(m.cost_us(Opcode::Out) < m.cost_us(Opcode::In));
+        assert!(Opcode::In.cost_us() > Opcode::Inp.cost_us());
+        assert!(Opcode::Rd.cost_us() > Opcode::Rdp.cost_us());
+        assert!(Opcode::In.cost_us() > Opcode::Rd.cost_us());
+        assert!(Opcode::Out.cost_us() < Opcode::In.cost_us());
     }
 
     #[test]
     fn all_local_costs_within_paper_envelope() {
         // "Local operations take between 60-440µs" (Section 4) — allow halt
         // (50µs) as the one sub-60 housekeeping case.
-        let m = CostModel::mica2();
         for op in Opcode::ALL {
-            let c = m.cost_us(op);
+            let c = op.cost_us();
             assert!((50..=440).contains(&c), "{op} cost {c} outside envelope");
         }
     }

@@ -44,7 +44,7 @@ pub mod isa;
 pub use agent::{AgentState, HEAP_SLOTS, STACK_DEPTH};
 pub use error::VmError;
 pub use exec::{Host, MigrateKind, RemoteOp, StepResult, TestHost};
-pub use isa::{CostModel, EnergyClass, Instruction, Opcode};
+pub use isa::{EnergyClass, Instruction, Opcode};
 
 /// A value on an agent's operand stack.
 ///
