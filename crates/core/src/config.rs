@@ -33,6 +33,11 @@ pub const CODE_BLOCKS: usize = 20;
 /// The code budget in bytes: [`CODE_BLOCKS`] × [`CODE_BLOCK_BYTES`] = 440.
 pub const CODE_BUDGET: usize = CODE_BLOCKS * CODE_BLOCK_BYTES;
 
+// The VM checks code against its own copy of the budget (in
+// `AgentState::with_code` and on every migration arrival), so the two must
+// not drift apart.
+const _: () = assert!(CODE_BUDGET == agilla_vm::DEFAULT_CODE_BUDGET);
+
 /// Tuple-space arena bytes: 600 by default (Section 3.2).
 pub const TUPLE_SPACE_BYTES: usize = 600;
 

@@ -366,7 +366,7 @@ impl AgillaNetwork {
             metrics,
             ctr,
             log: ExperimentLog::new(),
-            mac: CsmaMac::new(lpl),
+            mac: CsmaMac::new(),
             rng_mac: derive_all("net.mac"),
             rng_vm: derive_all("net.vm"),
             rng_env: derive_all("net.env"),
@@ -1377,10 +1377,6 @@ impl AgillaNetwork {
                 motion,
                 ..
             } = self;
-            // Navigation readings for the position/heading sensor: computed
-            // only for motes with a motion entry (one empty-`Vec` lookup
-            // otherwise), so static networks pay nothing per step.
-            let nav = motion.nav(idx, now);
             let node = &mut nodes[idx];
             let Node {
                 loc,
@@ -1424,7 +1420,8 @@ impl AgillaNetwork {
                 sensed: Vec::new(),
                 byte_budget,
                 track_removals: tenancy_on,
-                nav,
+                motion,
+                idx,
             };
             let result = match decoded {
                 Ok((ins, len)) => exec::step_decoded(&mut slot.agent, &mut host, ins, len),
@@ -1797,10 +1794,10 @@ struct HostView<'a> {
     byte_budget: Option<u32>,
     /// Whether removals need recording for the quota ledger.
     track_removals: bool,
-    /// Navigation readings from the mote's motion model — heading (whole
-    /// degrees CCW from +x) and speed (hundredths of a grid unit per
-    /// second) — or `None` on a static mote.
-    nav: Option<(i16, i16)>,
+    /// The network's motion models, read by the navigation sensors.
+    motion: &'a MotionState,
+    /// This mote's index into `motion`.
+    idx: usize,
 }
 
 impl Host for HostView<'_> {
@@ -1815,11 +1812,12 @@ impl Host for HostView<'_> {
     fn sense(&mut self, sensor: SensorType) -> Option<i16> {
         self.sensed.push(sensor);
         // Navigation "sensors" read the host's motion model, not the
-        // environment: a static mote reads as sensor-absent, exactly like
-        // a board without the hardware.
+        // environment: heading in whole degrees CCW from +x, speed in
+        // hundredths of a grid unit per second. A static mote reads as
+        // sensor-absent, exactly like a board without the hardware.
         match sensor {
-            SensorType::Heading => self.nav.map(|(h, _)| h),
-            SensorType::Speed => self.nav.map(|(_, s)| s),
+            SensorType::Heading => self.motion.nav(self.idx, self.now).map(|(h, _)| h),
+            SensorType::Speed => self.motion.nav(self.idx, self.now).map(|(_, s)| s),
             _ => self.env.sample(sensor, self.loc, self.now, self.rng_env),
         }
     }

@@ -142,6 +142,44 @@ halt";
 }
 
 #[test]
+fn local_weak_clone_shares_the_code() {
+    // The original (condition 0) clones itself onto its own mote; the clone
+    // restarts at pc 0 with condition 1 and skips straight to `wait`, so
+    // both stay resident.
+    let mut net = reliable();
+    let src = "\
+rjumpc PARK
+loc
+wclone
+PARK wait";
+    let here = Location::new(1, 1);
+    let id = net.inject_source_at(here, src).unwrap();
+    net.run_for(SimDuration::from_secs(1));
+    let node = net.node_at(here).unwrap();
+    let clones: Vec<_> = net
+        .log()
+        .records()
+        .iter()
+        .filter_map(|r| match r {
+            agilla::stats::OpRecord::MigrationArrived {
+                agent, node: at, ..
+            } if *at == node => Some(*agent),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(clones.len(), 1, "one local clone");
+    let original = net.agent_state(id).expect("original resident");
+    let clone = net.agent_state(clones[0]).expect("clone resident");
+    assert_eq!(original.condition(), 2, "the original saw a local clone");
+    assert_eq!(clone.code(), original.code());
+    assert_eq!(
+        clone.code().as_ptr(),
+        original.code().as_ptr(),
+        "a local clone shares its original's code, not a copy"
+    );
+}
+
+#[test]
 fn blocking_in_wakes_on_remote_insertion() {
     let mut net = reliable();
     // Consumer on (2,1) blocks on <value>; producer on (1,1) routs one over.

@@ -97,7 +97,7 @@ impl MateNetwork {
             queue: EventQueue::new(),
             medium,
             nodes,
-            mac: CsmaMac::new(None),
+            mac: CsmaMac::new(),
             rng: RngStream::derive(seed, "mate"),
             metrics: Metrics::new(),
             clock: SimTime::ZERO,

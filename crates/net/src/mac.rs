@@ -70,22 +70,20 @@ pub const RX_PROCESSING_US: u64 = 4_000;
 /// use wsn_net::CsmaMac;
 /// use wsn_sim::RngStream;
 ///
-/// let mac = CsmaMac::new(None);
+/// let mac = CsmaMac::new();
 /// let mut rng = RngStream::derive(1, "mac");
 /// let d = mac.initial_backoff(&mut rng);
 /// assert!(d.as_micros() >= 400 && d.as_micros() <= 6_400);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct CsmaMac {
-    lpl: Option<LplConfig>,
-}
+pub struct CsmaMac;
 
 impl CsmaMac {
-    /// Creates a MAC with the MICA2 timing and an optional low-power
-    /// listening mode; `None` keeps the radio always on (the paper's
-    /// configuration).
-    pub fn new(lpl: Option<LplConfig>) -> Self {
-        CsmaMac { lpl }
+    /// Creates a MAC with the MICA2 timing. Low-power listening changes no
+    /// MAC timing: its preamble stretch and listen duty are applied by the
+    /// radio medium and the energy ledger.
+    pub fn new() -> Self {
+        CsmaMac
     }
 
     /// Random delay before the first carrier-sense attempt.
@@ -109,11 +107,6 @@ impl CsmaMac {
     pub fn rx_processing(&self) -> SimDuration {
         SimDuration::from_micros(RX_PROCESSING_US)
     }
-
-    /// The low-power-listening mode, if one is configured.
-    pub fn lpl(&self) -> Option<&LplConfig> {
-        self.lpl.as_ref()
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +115,7 @@ mod tests {
 
     #[test]
     fn initial_backoff_within_bounds() {
-        let mac = CsmaMac::new(None);
+        let mac = CsmaMac::new();
         let mut rng = RngStream::derive(7, "t");
         for _ in 0..1000 {
             let d = mac.initial_backoff(&mut rng).as_micros();
@@ -132,7 +125,7 @@ mod tests {
 
     #[test]
     fn congestion_backoff_grows_with_attempts() {
-        let mac = CsmaMac::new(None);
+        let mac = CsmaMac::new();
         let mut rng = RngStream::derive(8, "t");
         let avg = |attempt: u32, rng: &mut RngStream| -> u64 {
             (0..500)
@@ -147,7 +140,7 @@ mod tests {
 
     #[test]
     fn congestion_backoff_is_capped() {
-        let mac = CsmaMac::new(None);
+        let mac = CsmaMac::new();
         let mut rng = RngStream::derive(9, "t");
         // Attempt counts beyond 8 are clamped.
         let max_step = CONGESTION_STEP_US * 9 + BACKOFF_MIN_US;
@@ -159,10 +152,9 @@ mod tests {
 
     #[test]
     fn processing_costs_exposed() {
-        let mac = CsmaMac::new(None);
+        let mac = CsmaMac::new();
         assert_eq!(mac.tx_processing().as_micros(), 9_000);
         assert_eq!(mac.rx_processing().as_micros(), 4_000);
-        assert!(mac.lpl().is_none(), "the paper's stack is always-on");
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! and is skipped when reached. Stale keys are compacted away once they
 //! outnumber live ones, so a cancel/reschedule-heavy workload (MAC
 //! retransmit timers) cannot grow the queue without bound.
+//!
+//! The earliest key may wait in a head slot outside the heap. An agent's
+//! engine reschedules itself for a time later than the clock but earlier
+//! than every queued timer, over and over; such a key becomes the head and
+//! pops without touching the heap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -88,10 +93,14 @@ impl Key {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// The earliest key, held outside `heap` while it orders before every
+    /// key in it. It may be stale (its event cancelled).
+    head: Option<Key>,
     heap: BinaryHeap<Reverse<Key>>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
-    /// Keys in `heap` whose event was cancelled but not yet reached.
+    /// Keys in `head` or `heap` whose event was cancelled but not yet
+    /// reached.
     tombstones: usize,
     next_seq: u64,
     now: SimTime,
@@ -102,6 +111,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
+            head: None,
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -145,12 +155,24 @@ impl<E> EventQueue<E> {
             }
         };
         let generation = self.slots[slot as usize].generation;
-        self.heap.push(Reverse(Key {
+        let key = Key {
             at,
             seq,
             slot,
             generation,
-        }));
+        };
+        // `seq` is the largest yet, so a key orders before another only if
+        // it is strictly earlier in time.
+        match &mut self.head {
+            Some(head) if at < head.at => {
+                let displaced = std::mem::replace(head, key);
+                self.heap.push(Reverse(displaced));
+            }
+            None if self.heap.peek().is_none_or(|Reverse(top)| at < top.at) => {
+                self.head = Some(key);
+            }
+            _ => self.heap.push(Reverse(key)),
+        }
         EventId::new(slot, generation)
     }
 
@@ -170,7 +192,11 @@ impl<E> EventQueue<E> {
 
     /// Pops the next live event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(key)) = self.heap.pop() {
+        loop {
+            let key = match self.head.take() {
+                Some(head) => head,
+                None => self.heap.pop()?.0,
+            };
             if !key.is_live(&self.slots) {
                 self.tombstones -= 1;
                 continue;
@@ -181,7 +207,6 @@ impl<E> EventQueue<E> {
             self.dispatched += 1;
             return Some((key.at, payload));
         }
-        None
     }
 
     /// Timestamp of the next live event without popping it.
@@ -190,6 +215,13 @@ impl<E> EventQueue<E> {
     /// peeking is also how tombstones ahead of the clock get reclaimed
     /// without waiting for their timestamps.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        if let Some(head) = &self.head {
+            if head.is_live(&self.slots) {
+                return Some(head.at);
+            }
+            self.head = None;
+            self.tombstones -= 1;
+        }
         while let Some(Reverse(key)) = self.heap.peek() {
             if key.is_live(&self.slots) {
                 return Some(key.at);
@@ -204,12 +236,12 @@ impl<E> EventQueue<E> {
     /// tombstones. Compaction keeps this within 2× the live count (plus a
     /// small constant), so it is a fair memory gauge.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + usize::from(self.head.is_some())
     }
 
     /// Whether the queue holds no entries at all (live or tombstoned).
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.head.is_none() && self.heap.is_empty()
     }
 
     // --- internals --------------------------------------------------------
@@ -227,11 +259,12 @@ impl<E> EventQueue<E> {
     /// Sweeps stale keys out of the heap once they outnumber the live
     /// events, bounding memory under cancel-heavy workloads.
     fn maybe_compact(&mut self) {
-        let len = self.heap.len();
+        let len = self.len();
         if self.tombstones <= len - self.tombstones || len < COMPACT_MIN {
             return;
         }
         let slots = &self.slots;
+        self.head = self.head.take().filter(|key| key.is_live(slots));
         self.heap.retain(|Reverse(key)| key.is_live(slots));
         self.tombstones = 0;
     }
@@ -438,6 +471,57 @@ mod tests {
         drop(keep);
     }
 
+    #[test]
+    fn earlier_key_displaces_the_head_which_keeps_its_fifo_place() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(10);
+        q.schedule(t, "a"); // the head
+        q.schedule(t, "b"); // after the head: into the heap
+        q.schedule(SimTime::from_micros(5), "c"); // displaces "a" into the heap
+        q.schedule(t, "d");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["c", "a", "b", "d"]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn cancelled_head_is_counted_until_skipped() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_micros(5), "a"); // the head
+        q.schedule(SimTime::from_micros(9), "b");
+        assert!(q.cancel(a));
+        assert_eq!(q.len(), 2, "a stale head is held until reached");
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
+        assert_eq!(q.len(), 1);
+        let c = q.schedule(SimTime::from_micros(3), "c"); // a new head
+        assert!(q.cancel(c));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_micros(9), "b")));
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn compaction_drops_a_stale_head() {
+        let mut q = EventQueue::new();
+        let head = q.schedule(SimTime::from_micros(1), 0u64);
+        let ids: Vec<_> = (0..200u64)
+            .map(|i| q.schedule(SimTime::from_micros(1_000 + i), i))
+            .collect();
+        assert!(q.cancel(head));
+        for id in &ids[..100] {
+            assert!(q.cancel(*id));
+        }
+        // 101 tombstones against 100 live events: compaction ran, and the
+        // stale head went with the heap's stale keys.
+        assert_eq!(q.len(), 100);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(1_100)));
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(popped, (100..200).collect::<Vec<_>>());
+    }
+
     /// The pre-refactor queue, kept as a behavioural oracle.
     struct ModelQueue<E> {
         entries: Vec<(u64, u64, bool, Option<E>)>, // (at, seq, live, payload)
@@ -550,10 +634,12 @@ mod tests {
         /// every figure's byte-identity rests on. Times spread across three
         /// orders of magnitude, and cancels leave stale keys at every depth
         /// of the heap. A bare peek leaves the head queued, so later
-        /// schedules land between a peek and the pop that follows.
+        /// schedules land between a peek and the pop that follows. Keys
+        /// just after the last popped time displace and refill the head
+        /// slot, as an agent's engine rescheduling itself does.
         #[test]
         fn prop_matches_reference_queue(
-            ops in proptest::collection::vec((0u8..5, 0u64..3_000_000), 1..300),
+            ops in proptest::collection::vec((0u8..6, 0u64..3_000_000), 1..300),
         ) {
             let mut q = EventQueue::new();
             let mut m = ModelQueue::new();
@@ -574,6 +660,12 @@ mod tests {
                     }
                     2 => {
                         prop_assert_eq!(q.peek_time().map(SimTime::as_micros), m.peek_time());
+                    }
+                    5 => {
+                        let at = m.now + x % 3;
+                        let id = q.schedule(SimTime::from_micros(at), x);
+                        let seq = m.schedule(at, x);
+                        ids.push((id, seq));
                     }
                     _ => {
                         prop_assert_eq!(q.peek_time().map(SimTime::as_micros), m.peek_time());

@@ -7,6 +7,7 @@
 //! last with the condition code." (Section 3.3)
 
 use std::fmt;
+use std::sync::Arc;
 
 use agilla_tuplespace::{Field, Template, TemplateField, Tuple, TupleSpaceError};
 use wsn_common::{AgentId, Location};
@@ -25,6 +26,9 @@ pub const HEAP_SLOTS: usize = 12;
 /// instructions" (Section 3.2).
 pub const DEFAULT_CODE_BUDGET: usize = 440;
 
+/// What a stack slot above the live depth holds until it is pushed to.
+const STALE: StackValue = TemplateField::Exact(Field::Value(0));
+
 /// The complete execution state of one mobile agent.
 ///
 /// # Examples
@@ -38,14 +42,17 @@ pub const DEFAULT_CODE_BUDGET: usize = 440;
 /// assert_eq!(agent.pc(), 0);
 /// assert_eq!(agent.condition(), 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AgentState {
     id: AgentId,
     pc: u16,
     condition: i16,
-    stack: Vec<StackValue>,
+    /// Live depth of `stack`; the slots at and above it are stale.
+    depth: u8,
+    stack: [StackValue; STACK_DEPTH],
     heap: [Option<StackValue>; HEAP_SLOTS],
-    code: Vec<u8>,
+    /// Never changed after construction, so a clone shares it.
+    code: Arc<[u8]>,
     /// Set by the engine when the code passed the static verifier. Not part
     /// of the migration wire image or of equality: it is a local promise
     /// about `code`, re-established wherever the code is re-admitted.
@@ -60,13 +67,27 @@ impl PartialEq for AgentState {
         self.id == other.id
             && self.pc == other.pc
             && self.condition == other.condition
-            && self.stack == other.stack
+            && self.stack() == other.stack()
             && self.heap == other.heap
             && self.code == other.code
     }
 }
 
 impl Eq for AgentState {}
+
+impl fmt::Debug for AgentState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AgentState")
+            .field("id", &self.id)
+            .field("pc", &self.pc)
+            .field("condition", &self.condition)
+            .field("stack", &self.stack())
+            .field("heap", &self.heap)
+            .field("code", &self.code)
+            .field("verified", &self.verified)
+            .finish()
+    }
+}
 
 impl AgentState {
     /// Creates an agent with the given code, all registers zeroed.
@@ -99,9 +120,10 @@ impl AgentState {
             id,
             pc: 0,
             condition: 0,
-            stack: Vec::new(),
+            depth: 0,
+            stack: [STALE; STACK_DEPTH],
             heap: Default::default(),
-            code,
+            code: code.into(),
             verified: false,
         })
     }
@@ -156,12 +178,12 @@ impl AgentState {
 
     /// Current operand-stack contents, bottom first.
     pub fn stack(&self) -> &[StackValue] {
-        &self.stack
+        &self.stack[..self.stack_depth()]
     }
 
     /// Current stack depth.
     pub fn stack_depth(&self) -> usize {
-        self.stack.len()
+        usize::from(self.depth)
     }
 
     /// Heap slot `i`, if written.
@@ -175,7 +197,7 @@ impl AgentState {
     pub fn reset_weak(&mut self) {
         self.pc = 0;
         self.condition = 0;
-        self.stack.clear();
+        self.depth = 0;
         self.heap = Default::default();
     }
 
@@ -187,10 +209,10 @@ impl AgentState {
     ///
     /// [`VmError::StackOverflow`] beyond [`STACK_DEPTH`].
     pub fn push(&mut self, v: StackValue) -> Result<(), VmError> {
-        if self.stack.len() >= STACK_DEPTH {
-            return Err(VmError::StackOverflow);
-        }
-        self.stack.push(v);
+        let depth = self.stack_depth();
+        let slot = self.stack.get_mut(depth).ok_or(VmError::StackOverflow)?;
+        *slot = v;
+        self.depth += 1;
         Ok(())
     }
 
@@ -218,7 +240,11 @@ impl AgentState {
     ///
     /// [`VmError::StackUnderflow`] on an empty stack.
     pub fn pop(&mut self, during: &'static str) -> Result<StackValue, VmError> {
-        self.stack.pop().ok_or(VmError::StackUnderflow { during })
+        self.depth = self
+            .depth
+            .checked_sub(1)
+            .ok_or(VmError::StackUnderflow { during })?;
+        Ok(self.stack[self.stack_depth()])
     }
 
     /// Pops a 16-bit value.
@@ -351,8 +377,8 @@ impl AgentState {
         out.extend_from_slice(&self.pc.to_le_bytes());
         out.extend_from_slice(&self.condition.to_le_bytes());
         out.extend_from_slice(&(self.code.len() as u16).to_le_bytes());
-        out.push(self.stack.len() as u8);
-        for v in &self.stack {
+        out.push(self.depth);
+        for v in self.stack() {
             v.encode(&mut out);
         }
         let written = self.heap.iter().filter(|s| s.is_some()).count();
@@ -395,10 +421,10 @@ impl AgentState {
         if stack_len > STACK_DEPTH {
             return Err(VmError::Tuple(TupleSpaceError::Decode("stack too deep")));
         }
-        let mut stack = Vec::with_capacity(stack_len);
-        for _ in 0..stack_len {
+        let mut stack = [STALE; STACK_DEPTH];
+        for slot in &mut stack[..stack_len] {
             let (v, n) = TemplateField::decode(b).map_err(VmError::from)?;
-            stack.push(v);
+            *slot = v;
             b = &b[n..];
         }
         let heap_len = take(&mut b, 1)?[0] as usize;
@@ -417,6 +443,7 @@ impl AgentState {
         let mut agent = AgentState::with_code(id, code)?;
         agent.pc = pc;
         agent.condition = condition;
+        agent.depth = stack_len as u8;
         agent.stack = stack;
         agent.heap = heap;
         Ok(agent)
@@ -431,7 +458,7 @@ impl fmt::Display for AgentState {
             self.id,
             self.pc,
             self.condition,
-            self.stack.len(),
+            self.depth,
             self.code.len()
         )
     }
@@ -468,6 +495,27 @@ mod tests {
         }
         assert_eq!(a.push_value(99), Err(VmError::StackOverflow));
         assert_eq!(a.stack_depth(), STACK_DEPTH);
+        // The refused push left the 16 values in place; they drain in
+        // order down to an underflow.
+        for i in (0..STACK_DEPTH as i16).rev() {
+            assert_eq!(a.pop_value("t"), Ok(i));
+        }
+        assert_eq!(a.pop("t"), Err(VmError::StackUnderflow { during: "t" }));
+    }
+
+    #[test]
+    fn popped_slots_are_invisible() {
+        // A push and a pop leave the value in a slot above the live depth;
+        // equality, Debug, Display and the state image must not see it.
+        let fresh = agent();
+        let mut a = agent();
+        a.push_field(Field::str("fir")).unwrap();
+        assert_eq!(a.pop("t"), Ok(TemplateField::Exact(Field::str("fir"))));
+        assert_eq!(a, fresh);
+        assert_eq!(format!("{a:?}"), format!("{fresh:?}"));
+        assert_eq!(a.to_string(), fresh.to_string());
+        assert_eq!(a.encode_state(), fresh.encode_state());
+        assert!(a.stack().is_empty());
     }
 
     #[test]
@@ -607,6 +655,23 @@ mod tests {
         let bytes = a.encode_state();
         let back = AgentState::decode_state(&bytes, a.code().to_vec()).unwrap();
         assert_eq!(back, a);
+    }
+
+    #[test]
+    fn state_codec_roundtrip_at_full_depth() {
+        let mut a = AgentState::with_code(AgentId(7), vec![0x00; 4]).unwrap();
+        for i in 0..STACK_DEPTH as i16 {
+            a.push_value(i * 3 - 20).unwrap();
+        }
+        a.push_value(-1).unwrap_err();
+        let bytes = a.encode_state();
+        let back = AgentState::decode_state(&bytes, a.code().to_vec()).unwrap();
+        assert_eq!(back.stack_depth(), STACK_DEPTH);
+        assert_eq!(back, a);
+        // One slot deeper than the stack holds is refused.
+        let mut deeper = bytes.clone();
+        deeper[8] = STACK_DEPTH as u8 + 1;
+        assert!(AgentState::decode_state(&deeper, a.code().to_vec()).is_err());
     }
 
     #[test]

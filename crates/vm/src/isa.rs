@@ -208,11 +208,7 @@ impl Opcode {
 
     /// Decodes an opcode byte.
     pub fn from_byte(b: u8) -> Result<Opcode, VmError> {
-        Opcode::ALL
-            .iter()
-            .copied()
-            .find(|op| *op as u8 == b)
-            .ok_or(VmError::InvalidOpcode(b))
+        BY_BYTE[usize::from(b)].ok_or(VmError::InvalidOpcode(b))
     }
 
     /// Total encoded length of this instruction, including inline operands.
@@ -297,6 +293,17 @@ impl Opcode {
     }
 }
 
+/// Byte → opcode, filled from [`Opcode::ALL`] at compile time.
+const BY_BYTE: [Option<Opcode>; 256] = {
+    let mut table = [None; 256];
+    let mut i = 0;
+    while i < Opcode::ALL.len() {
+        table[Opcode::ALL[i] as usize] = Some(Opcode::ALL[i]);
+        i += 1;
+    }
+    table
+};
+
 impl fmt::Display for Opcode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.mnemonic())
@@ -333,8 +340,8 @@ impl Instruction {
         if idx + len > code.len() {
             return Err(VmError::TruncatedOperand(op.mnemonic()));
         }
-        let mut operand = [0u8; 3];
-        operand[..len - 1].copy_from_slice(&code[idx + 1..idx + len]);
+        let operand_byte = |i: usize| if i < len { code[idx + i] } else { 0 };
+        let operand = [operand_byte(1), operand_byte(2), operand_byte(3)];
         Ok((Instruction { op, operand }, len))
     }
 
@@ -471,6 +478,54 @@ mod tests {
             assert_eq!(Opcode::from_byte(op as u8).unwrap(), op);
         }
         assert!(Opcode::from_byte(0xEE).is_err());
+    }
+
+    /// The decoder before the opcode table, kept as an oracle: a linear
+    /// scan of `Opcode::ALL` and a slice copy of the operands.
+    fn decode_by_scan(code: &[u8], pc: u16) -> Result<(Instruction, usize), VmError> {
+        let idx = pc as usize;
+        if idx >= code.len() {
+            return Err(VmError::PcOutOfRange {
+                pc,
+                code_len: code.len(),
+            });
+        }
+        let op = Opcode::ALL
+            .iter()
+            .copied()
+            .find(|op| *op as u8 == code[idx])
+            .ok_or(VmError::InvalidOpcode(code[idx]))?;
+        let len = op.encoded_len();
+        if idx + len > code.len() {
+            return Err(VmError::TruncatedOperand(op.mnemonic()));
+        }
+        let mut operand = [0u8; 3];
+        operand[..len - 1].copy_from_slice(&code[idx + 1..idx + len]);
+        Ok((Instruction { op, operand }, len))
+    }
+
+    #[test]
+    fn table_decode_agrees_with_a_scan_for_every_byte() {
+        for b in 0..=u8::MAX {
+            let scanned = Opcode::ALL.iter().copied().find(|op| *op as u8 == b);
+            assert_eq!(Opcode::from_byte(b).ok(), scanned, "byte {b:#04x}");
+            if scanned.is_none() {
+                assert_eq!(Opcode::from_byte(b), Err(VmError::InvalidOpcode(b)));
+            }
+            // Every truncation of the byte followed by three operand bytes,
+            // decoded at the start and after a one-byte prefix.
+            let code = [Opcode::Halt as u8, b, 0xA5, 0x5A, 0xC3];
+            for end in 0..=code.len() {
+                for pc in [0, 1] {
+                    assert_eq!(
+                        Instruction::decode(&code[..end], pc),
+                        decode_by_scan(&code[..end], pc),
+                        "byte {b:#04x}, pc {pc}, code {:?}",
+                        &code[..end]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod error;
 pub mod exec;
 pub mod isa;
 
-pub use agent::{AgentState, HEAP_SLOTS, STACK_DEPTH};
+pub use agent::{AgentState, DEFAULT_CODE_BUDGET, HEAP_SLOTS, STACK_DEPTH};
 pub use error::VmError;
 pub use exec::{Host, MigrateKind, RemoteOp, StepResult, TestHost};
 pub use isa::{EnergyClass, Instruction, Opcode};
