@@ -126,9 +126,10 @@ pub struct AgillaConfig {
     /// (default) keeps the paper's single-candidate behaviour, so existing
     /// figures are unchanged.
     pub hop_failover: bool,
-    /// When `true` (default), [`inject_at`](crate::AgillaNetwork::inject_at)
-    /// runs the static bytecode verifier over every injected program and
-    /// refuses unverifiable agents with
+    /// When `true` (default), injection
+    /// ([`inject_source`](crate::AgillaNetwork::inject_source) and its
+    /// siblings) runs the static bytecode verifier over every injected
+    /// program and refuses unverifiable agents with
     /// [`AgillaError::Unverifiable`](crate::AgillaError::Unverifiable)
     /// instead of letting the interpreter fault mid-mission. Verification
     /// changes nothing about how an accepted agent executes, so every

@@ -10,6 +10,8 @@
 //! network event loop; this module owns the pure data transformations so
 //! they can be tested exhaustively in isolation.
 
+use std::sync::Arc;
+
 use agilla_tuplespace::{Reaction, Template, TupleSpaceError};
 use agilla_vm::{AgentState, MigrateKind, VmError};
 use wsn_common::{AgentId, Location};
@@ -51,8 +53,8 @@ pub struct MigrationImage {
     pub agent_id: AgentId,
     /// Serialized registers + stack + heap.
     pub state: Vec<u8>,
-    /// Bytecode.
-    pub code: Vec<u8>,
+    /// Bytecode, shared with the agent it was packaged from.
+    pub code: Arc<[u8]>,
     /// Reactions travelling with the agent (strong migrations only:
     /// weak arrivals restart from scratch and re-register their own).
     pub reactions: Vec<Reaction>,
@@ -83,7 +85,7 @@ impl MigrationImage {
             final_dest,
             agent_id: agent.id(),
             state,
-            code: agent.code().to_vec(),
+            code: agent.shared_code(),
             reactions,
         }
     }
@@ -318,7 +320,7 @@ mod tests {
             sample_reactions(),
         );
         assert_eq!(img.state, a.encode_state());
-        assert_eq!(img.code, a.code());
+        assert_eq!(&*img.code, a.code());
         assert_eq!(img.reactions.len(), 1);
     }
 

@@ -3,9 +3,8 @@
 //!
 //! Sender sessions ride the shared reliable-session layer
 //! ([`super::session`]): per-message retransmission state lives in
-//! [`RetxState`](super::session::RetxState) inside each
-//! [`SenderSession`](crate::node::SenderSession), and receivers answer
-//! duplicates of completed sessions from the TTL'd
+//! [`RetxState`](super::session::RetxState) inside each [`SenderSession`],
+//! and receivers answer duplicates of completed sessions from the TTL'd
 //! [`CompletedCache`](super::session::CompletedCache) in each
 //! [`Node`](crate::node::Node)'s [`Sessions`](crate::node::Sessions) — the
 //! re-ack that keeps a lost final ack from duplicating an agent.
@@ -21,7 +20,7 @@ use crate::config::{
     MIGRATION_RETX, MIGRATION_SENDER_SETUP,
 };
 use crate::migration::MigrationImage;
-use crate::node::{AgentStatus, ReceiverSession, SenderSession};
+use crate::node::{AgentStatus, ReceiverSession, Resume, SenderSession};
 use crate::stats::OpRecord;
 use crate::wire::{self, am, Envelope, MigAck, MigData, MigHeader, MigNack};
 
@@ -66,70 +65,56 @@ impl AgillaNetwork {
             .agent
             .id();
 
-        // Reactions travelling with the agent.
-        let reactions: Vec<Reaction> = if kind.is_strong() {
-            if kind.is_clone() {
-                self.nodes[idx]
-                    .registry
-                    .iter()
-                    .filter(|r| r.owner == owner)
-                    .cloned()
-                    .collect()
+        // Build the travelling image; a strong image carries its reactions.
+        let (image, resume) = if kind.is_clone() {
+            let new_id = AgentId(self.agent_ids.allocate());
+            let reactions = if kind.is_strong() {
+                self.copy_reactions(idx, owner, new_id)
             } else {
-                self.nodes[idx].registry.remove_all(owner)
-            }
-        } else {
-            if !kind.is_clone() {
-                self.nodes[idx].registry.remove_all(owner);
-            }
-            Vec::new()
-        };
-
-        // Build the travelling image.
-        let (image, held_agent, origin_slot) = if kind.is_clone() {
+                Vec::new()
+            };
             let slot = self.nodes[idx].slots[slot_idx]
                 .as_mut()
                 .expect("migrating slot");
             let mut copy = slot.agent.clone();
-            let new_id = AgentId(self.agent_ids.allocate());
             copy.set_id(new_id);
-            let mut reactions = reactions;
-            for r in &mut reactions {
-                r.owner = new_id;
-            }
             slot.status = AgentStatus::InMigration;
+            // Travelling clones inherit the parent's application.
+            if let Some(t) = self.tenancy.as_mut() {
+                t.inherit(owner, new_id);
+            }
             (
                 MigrationImage::package(&copy, kind, dest, reactions),
-                None,
-                Some(slot_idx),
+                Resume::Original(slot_idx),
             )
         } else {
+            let reactions = self.nodes[idx].registry.remove_all(owner);
             let slot = self.nodes[idx].evict(slot_idx).expect("migrating slot");
             // The mover's slot charge here is released now; the app is
-            // re-charged wherever the agent next lands (or the mapping is
-            // dropped if the image is lost).
-            self.tenancy_release_slot(idx, slot.agent.id());
+            // charged again wherever the agent next lands.
+            if let Some(t) = self.tenancy.as_mut() {
+                t.release_slot(owner, idx);
+            }
             let image = MigrationImage::package(&slot.agent, kind, dest, reactions);
-            (image, Some(slot.agent), None)
+            (image, Resume::Held(slot.agent))
         };
-        // Travelling clones inherit the parent's application.
-        if kind.is_clone() {
-            self.tenancy_inherit(owner, image.agent_id);
-        }
 
         self.tracer
             .record_with(now, Some(node_id), "migrate.start", || {
                 format!("{} {:?} -> {dest}", image.agent_id, kind)
             });
         self.metrics.bump(self.ctr.mig_started);
-        self.open_sender_session(
-            idx,
-            image,
-            held_agent,
-            origin_slot,
-            MIGRATION_SENDER_SETUP,
-            now,
-        );
+        self.open_sender_session(idx, image, resume, MIGRATION_SENDER_SETUP, now);
+    }
+
+    /// The reactions `from` holds on `idx`, copied for its clone `to`.
+    fn copy_reactions(&self, idx: usize, from: AgentId, to: AgentId) -> Vec<Reaction> {
+        self.nodes[idx]
+            .registry
+            .iter()
+            .filter(|r| r.owner == from)
+            .map(|r| Reaction::new(to, r.template.clone(), r.pc))
+            .collect()
     }
 
     /// A clone (`sclone`/`wclone`) with no next hop toward `dest`. The
@@ -153,9 +138,7 @@ impl AgillaNetwork {
             .as_mut()
             .expect("migrating slot");
         slot.status = AgentStatus::InMigration;
-        let owner = slot.agent.id();
         let clone_id = AgentId(self.agent_ids.allocate());
-        self.tenancy_inherit(owner, clone_id);
         self.tracer
             .record_with(now, Some(node_id), "migrate.start", || {
                 format!("{clone_id} {kind:?} -> {dest}")
@@ -171,37 +154,23 @@ impl AgillaNetwork {
     /// A migration whose destination is the current node.
     fn local_migration(&mut self, idx: usize, slot_idx: usize, kind: MigrateKind, now: SimTime) {
         let node_id = self.nodes[idx].id;
+        let slot = self.nodes[idx].slots[slot_idx].as_ref().expect("slot");
+        let owner = slot.agent.id();
         if kind.is_clone() {
-            let (copy, owner) = {
-                let slot = self.nodes[idx].slots[slot_idx].as_ref().expect("slot");
-                (slot.agent.clone(), slot.agent.id())
-            };
-            let mut copy = copy;
+            let mut copy = slot.agent.clone();
             let new_id = AgentId(self.agent_ids.allocate());
             copy.set_id(new_id);
-            if !kind.is_strong() {
+            let reactions = if kind.is_strong() {
+                self.copy_reactions(idx, owner, new_id)
+            } else {
                 copy.reset_weak();
-            }
+                Vec::new()
+            };
             copy.set_condition(1);
-            let admitted = self.nodes[idx].can_admit(copy.code().len())
-                && self.tenancy_charge_slot(idx, owner)
-                && self.nodes[idx].admit(copy).is_some();
-            if admitted {
-                self.tenancy_inherit(owner, new_id);
+            if let Some(t) = self.tenancy.as_mut() {
+                t.inherit(owner, new_id);
             }
-            // Clone reactions for strong local clones.
-            if admitted && kind.is_strong() {
-                let cloned: Vec<Reaction> = self.nodes[idx]
-                    .registry
-                    .iter()
-                    .filter(|r| r.owner == owner)
-                    .cloned()
-                    .collect();
-                for mut r in cloned {
-                    r.owner = new_id;
-                    let _ = self.nodes[idx].registry.register(r);
-                }
-            }
+            let admitted = self.readmit(idx, copy, reactions);
             let slot = self.nodes[idx].slots[slot_idx].as_mut().expect("slot");
             slot.agent.set_condition(if admitted { 2 } else { 0 });
             slot.status = AgentStatus::Ready;
@@ -227,9 +196,8 @@ impl AgillaNetwork {
             let slot = self.nodes[idx].slots[slot_idx].as_mut().expect("slot");
             slot.agent.set_condition(1);
             slot.status = AgentStatus::Ready;
-            let id = slot.agent.id();
             self.log.push(OpRecord::MigrationArrived {
-                agent: id,
+                agent: owner,
                 node: node_id,
                 kind,
                 at: now,
@@ -239,27 +207,25 @@ impl AgillaNetwork {
     }
 
     /// Opens a sender session toward the greedy next hop for
-    /// `image.final_dest`. `origin_slot` holds a clone's paused original; a
-    /// mover's state rides in `held_agent`; relays pass neither. With no
-    /// next hop the mover or relay resumes here at once (unroutable clones
-    /// never get this far; see `fail_unroutable_clone`).
-    pub(super) fn open_sender_session(
+    /// `image.final_dest`, which `resume`s a clone's paused original or
+    /// holds the mover's or relay's agent. With no next hop the held agent
+    /// resumes here at once (unroutable clones never get this far; see
+    /// `fail_unroutable_clone`).
+    fn open_sender_session(
         &mut self,
         idx: usize,
         image: MigrationImage,
-        held_agent: Option<AgentState>,
-        origin_slot: Option<usize>,
+        resume: Resume,
         setup: SimDuration,
         now: SimTime,
     ) {
         let node_id = self.nodes[idx].id;
         let Some(hop) = self.greedy_hop(idx, image.final_dest, now) else {
-            debug_assert!(origin_slot.is_none(), "unroutable clones fail earlier");
             self.tracer
                 .record_with(now, Some(node_id), "migrate.noroute", || {
                     format!("{} -> {}", image.agent_id, image.final_dest)
                 });
-            self.resume_failed_migration(idx, image, held_agent, now);
+            self.resume_sender(idx, image, resume, now);
             return;
         };
         let session = self.session_ids.allocate();
@@ -269,6 +235,9 @@ impl AgillaNetwork {
         } else {
             image.fragments_sized(session, E2E_CHUNK, E2E_CHUNK)
         };
+        if matches!(resume, Resume::Original(_)) {
+            self.metrics.bump(self.ctr.mig_clone_sessions);
+        }
         let s = SenderSession {
             image,
             fragments,
@@ -276,17 +245,13 @@ impl AgillaNetwork {
             next_frag: None,
             next_hop: hop,
             tried_hops: Vec::new(),
-            held_agent,
-            origin_slot,
+            resume,
             retx: super::session::RetxState::new(),
         };
         self.nodes[idx]
             .sessions_or_create(&self.config)
             .send_sessions
             .insert(session, s);
-        if origin_slot.is_some() {
-            self.metrics.bump(self.ctr.mig_clone_sessions);
-        }
         self.send_migration_msg(idx, session, setup, now);
     }
 
@@ -495,7 +460,7 @@ impl AgillaNetwork {
             .record_with(now, Some(node_id), "migrate.hop", || {
                 format!("{} forwarded via {}", s.image.agent_id, s.next_hop)
             });
-        if let Some(slot_idx) = s.origin_slot {
+        if let Resume::Original(slot_idx) = s.resume {
             // Clone original resumes with condition 2 (copy dispatched).
             if let Some(slot) = self.nodes[idx].slots[slot_idx].as_mut() {
                 if slot.status == AgentStatus::InMigration {
@@ -524,17 +489,24 @@ impl AgillaNetwork {
                 format!("{}: {why}", s.image.agent_id)
             });
         self.metrics.bump(self.ctr.mig_failed);
-        match s.origin_slot {
-            Some(slot_idx) => self.resume_clone_original(idx, slot_idx, s.image.agent_id, now),
-            None => self.resume_failed_migration(idx, s.image, s.held_agent, now),
+        self.resume_sender(idx, s.image, s.resume, now);
+    }
+
+    /// "If the sender detects a failure, it resumes the agent running on the
+    /// local machine with the condition code set to zero." (Section 3.2)
+    fn resume_sender(&mut self, idx: usize, image: MigrationImage, resume: Resume, now: SimTime) {
+        match resume {
+            Resume::Original(slot_idx) => {
+                self.resume_clone_original(idx, slot_idx, image.agent_id, now)
+            }
+            Resume::Held(agent) => self.resume_failed_migration(idx, agent, image.reactions, now),
         }
     }
 
-    /// The clone case of [`Self::resume_failed_migration`]: the original
-    /// paused in `slot_idx` resumes with condition 0, and the copy
-    /// `clone_id` is dropped. The copy never held a slot charge, so only
-    /// its app mapping goes. Every failed clone — unroutable at the start
-    /// or failed in session — ends here.
+    /// A failed clone: the original paused in `slot_idx` resumes with
+    /// condition 0, and the copy `clone_id` is dropped. The copy never held
+    /// a slot charge, so its app only forgets it. Every failed clone —
+    /// unroutable at the start or failed in session — ends here.
     fn resume_clone_original(
         &mut self,
         idx: usize,
@@ -543,7 +515,9 @@ impl AgillaNetwork {
         now: SimTime,
     ) {
         let node_id = self.nodes[idx].id;
-        self.tenancy_forget_mapping(clone_id);
+        if let Some(t) = self.tenancy.as_mut() {
+            t.forget(clone_id);
+        }
         if let Some(slot) = self.nodes[idx].slots[slot_idx].as_mut() {
             if slot.status == AgentStatus::InMigration {
                 slot.agent.set_condition(0);
@@ -558,67 +532,26 @@ impl AgillaNetwork {
         self.schedule_engine(idx, now, SimDuration::ZERO);
     }
 
-    /// "If the sender detects a failure, it resumes the agent running on the
-    /// local machine with the condition code set to zero." (Section 3.2)
-    ///
-    /// A mover's held state, or a relay's agent re-materialized from its
-    /// image, is re-admitted here if it fits; clones resume through
-    /// [`Self::resume_clone_original`].
+    /// A failed mover or relay: its agent is re-admitted here with
+    /// condition 0 and its `reactions`, if it fits.
     fn resume_failed_migration(
         &mut self,
         idx: usize,
-        image: MigrationImage,
-        held_agent: Option<AgentState>,
+        mut agent: AgentState,
+        reactions: Vec<Reaction>,
         now: SimTime,
     ) {
         let node_id = self.nodes[idx].id;
-        let agent_id = image.agent_id;
-        let mut agent = match held_agent {
-            Some(a) => a,
-            None => match crate::migration::reassemble(
-                &image.header(0),
-                &image.state,
-                image.code.clone(),
-                &image
-                    .reactions
-                    .iter()
-                    .map(crate::migration::encode_reaction)
-                    .collect::<Vec<_>>(),
-            ) {
-                Ok((a, _)) => a,
-                Err(_) => {
-                    self.tenancy_forget_mapping(agent_id);
-                    self.tracer
-                        .record_with(now, Some(node_id), "migrate.lost", || format!("{agent_id}"));
-                    self.log.push(OpRecord::MigrationFailed {
-                        agent: agent_id,
-                        node: node_id,
-                        at: now,
-                    });
-                    return;
-                }
-            },
-        };
+        let agent_id = agent.id();
         agent.set_condition(0);
-        if self.config.verify_on_inject {
-            // Same code the verifier accepted at injection time.
-            agent.mark_verified();
-        }
         self.log.push(OpRecord::MigrationFailed {
             agent: agent_id,
             node: node_id,
             at: now,
         });
-        if self.nodes[idx].can_admit(agent.code().len()) && self.tenancy_charge_slot(idx, agent_id)
-        {
-            let reactions = image.reactions.clone();
-            self.nodes[idx].admit(agent);
-            for r in reactions {
-                let _ = self.nodes[idx].registry.register(r);
-            }
+        if self.readmit(idx, agent, reactions) {
             self.schedule_engine(idx, now, SimDuration::ZERO);
         } else {
-            self.tenancy_forget_mapping(agent_id);
             self.tracer
                 .record_with(now, Some(node_id), "migrate.lost", || {
                     format!("{agent_id}: no room to resume")
@@ -911,7 +844,7 @@ impl AgillaNetwork {
         }
         self.nodes[idx].cache_mig_done(session, s.from, s.origin, now, &self.config);
         let header = *s.buf.header();
-        let (mut agent, reactions) = match s.buf.finish() {
+        let (agent, reactions) = match s.buf.finish() {
             Ok(v) => v,
             Err(e) => {
                 self.tracer
@@ -925,27 +858,12 @@ impl AgillaNetwork {
         if my_loc.matches_within(header.final_dest, self.config.epsilon) {
             // Final destination: install and schedule.
             let agent_id = agent.id();
-            if !self.nodes[idx].can_admit(agent.code().len())
-                || !self.tenancy_charge_slot(idx, agent_id)
-            {
-                // The agent is dropped here for good, so its app mapping
-                // goes with it (the departure already released its charge).
-                self.tenancy_forget_mapping(agent_id);
+            if !self.readmit(idx, agent, reactions) {
                 self.tracer
                     .record_with(now, Some(node_id), "migrate.refuse", || {
                         format!("{agent_id} on arrival")
                     });
                 return;
-            }
-            if self.config.verify_on_inject {
-                // Migration never alters code, so an arriving agent's
-                // program is the one the verifier accepted at injection;
-                // re-arm the runtime's verified-jump assertions for it.
-                agent.mark_verified();
-            }
-            self.nodes[idx].admit(agent);
-            for r in reactions {
-                let _ = self.nodes[idx].registry.register(r);
             }
             self.metrics.bump(self.ctr.mig_arrived);
             self.log.push(OpRecord::MigrationArrived {
@@ -960,16 +878,17 @@ impl AgillaNetwork {
                 });
             self.schedule_engine(idx, now, MIGRATION_RECEIVER_RESTORE);
         } else {
-            // Relay: store-and-forward toward the final destination.
+            // Relay: store-and-forward toward the final destination, holding
+            // the agent to resume here if the onward hop fails.
             let image = MigrationImage {
                 kind: header.kind,
                 final_dest: header.final_dest,
                 agent_id: agent.id(),
                 state: agent.encode_state(),
-                code: agent.code().to_vec(),
+                code: agent.shared_code(),
                 reactions,
             };
-            self.open_sender_session(idx, image, None, None, MIGRATION_MSG_HANDLING, now);
+            self.open_sender_session(idx, image, Resume::Held(agent), MIGRATION_MSG_HANDLING, now);
         }
     }
 }

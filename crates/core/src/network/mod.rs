@@ -16,15 +16,19 @@
 //!   agent transfer protocol of Section 3.2, plus the end-to-end ablation.
 //! * [`remote`](self) (private submodule) — remote tuple-space operations
 //!   (`rout`/`rinp`/`rrdp`) over geographic routing.
+//! * [`tenancy`](self) (private submodule) — multi-tenancy: per-app quotas,
+//!   byte attribution and preemption, present once an app registers.
 
 pub mod session;
 
 mod migration;
 mod remote;
+mod tenancy;
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use agilla_tenancy::{AppId, AppProfile, Priority, QuotaLedger};
+use agilla_tenancy::{AppId, AppProfile, QuotaLedger};
 use agilla_tuplespace::{Reaction, Template, Tuple, TupleSpaceError};
 use agilla_vm::exec::{self, StepResult};
 use agilla_vm::isa::{EnergyClass, Instruction, REACTION_DISPATCH_US};
@@ -45,6 +49,7 @@ use crate::stats::{ExperimentLog, OpRecord};
 use crate::wire::{self, am, Envelope, MigAck, MigData, MigHeader, MigNack, RtsReply, RtsRequest};
 
 use session::SessionIdGen;
+use tenancy::Tenancy;
 
 /// Simulation events.
 #[derive(Debug, Clone)]
@@ -88,6 +93,20 @@ enum EngineStep {
         /// Virtual CPU time the unit consumed.
         cost: SimDuration,
     },
+}
+
+/// Why an agent's stay on a mote ends for good (see
+/// [`AgillaNetwork::depart`]).
+enum Departure {
+    /// It executed `halt`.
+    Halted,
+    /// The VM faulted it.
+    Faulted(VmError),
+    /// Its app's per-mote instruction budget is spent: it is killed before
+    /// any migration, remote session or sleep timer it requested is set up.
+    OverBudget,
+    /// An arriving agent of a higher-priority app preempted it.
+    Preempted,
 }
 
 /// Pre-registered [`CounterId`] handles for every counter the event loop
@@ -141,113 +160,16 @@ impl NetCounters {
     }
 }
 
-/// Network-global multi-tenancy state: registered application profiles,
-/// the agent→app ownership map, the per-(app, mote) quota ledger, and the
-/// per-node FIFO tuple-ownership queues that attribute tuple-space bytes
-/// back to the application that stored them. Fully inert — zero
-/// behavioural or output change — until the first application registers
-/// ([`AgillaNetwork::register_app`]).
-///
-/// Tenancy decisions (quota checks, preemption victim choice, byte
-/// attribution) read only state mutated by dispatched events, so every
-/// decision is a deterministic function of the event order.
-#[derive(Debug, Default)]
-struct Tenancy {
-    /// Registered applications, by id (`BTreeMap` iteration keeps every
-    /// derived walk deterministic).
-    apps: BTreeMap<AppId, AppProfile>,
-    /// Which application owns each live agent (clones inherit the
-    /// parent's app; entries are dropped when the agent halts, faults,
-    /// is evicted, or is lost in a failed migration).
-    app_of: BTreeMap<AgentId, AppId>,
-    /// Per-(app, mote) resource usage against declared quotas.
-    ledger: QuotaLedger,
-    /// Per-node byte-attribution queues keyed by encoded tuple bytes:
-    /// `inp` removes the first matching tuple in insertion order, so the
-    /// front of the queue is exactly the app whose copy was consumed.
-    tuple_owners: Vec<BTreeMap<Vec<u8>, VecDeque<AppId>>>,
-    /// Which application issued each in-flight remote tuple-space
-    /// operation, so a remote `rout` charges the issuer at the serving
-    /// mote.
-    op_app: BTreeMap<u16, AppId>,
-}
-
-impl Tenancy {
-    /// Whether any application has registered (all hooks early-out when
-    /// not — the untagged network never touches tenancy state).
-    fn enabled(&self) -> bool {
-        !self.apps.is_empty()
-    }
-
-    /// Remaining tuple-space byte allowance of `agent`'s app on `node`,
-    /// or `None` when the agent is unowned (then nothing is enforced).
-    fn byte_budget(&self, agent: AgentId, node: u32) -> Option<u32> {
-        let app = self.app_of.get(&agent)?;
-        let quota = self.ledger.quota(*app)?;
-        let used = self.ledger.usage(*app, node).bytes;
-        Some(quota.tuple_bytes.saturating_sub(used))
-    }
-
-    /// Post-step byte accounting: tuples `agent` inserted debit its app
-    /// and enqueue it as their FIFO owner; tuples it removed credit
-    /// whichever app's copy was consumed (any agent may `inp` any app's
-    /// tuple — Linda spaces are shared).
-    fn commit_tuples(
-        &mut self,
-        agent: AgentId,
-        node: usize,
-        inserted: &[Tuple],
-        removed: &[Tuple],
-    ) {
-        let app = self.app_of.get(&agent).copied();
-        for t in inserted {
-            let Some(a) = app else { break };
-            self.record_insertion(a, node, t);
-        }
-        for t in removed {
-            self.credit_removal(node, t);
-        }
-    }
-
-    /// Charges `t`'s encoded bytes to `app` on `node` and records the
-    /// ownership for later crediting.
-    fn record_insertion(&mut self, app: AppId, node: usize, t: &Tuple) {
-        let key = t.encode();
-        let _ = self.ledger.charge_bytes(app, node as u32, key.len() as u32);
-        self.tuple_owners[node]
-            .entry(key)
-            .or_default()
-            .push_back(app);
-    }
-
-    /// Credits the FIFO owner of a removed tuple (no-op for tuples no
-    /// app owns — boot capability tuples, unowned agents' insertions).
-    fn credit_removal(&mut self, node: usize, t: &Tuple) {
-        let key = t.encode();
-        let Some(q) = self.tuple_owners[node].get_mut(&key) else {
-            return;
-        };
-        if let Some(a) = q.pop_front() {
-            let _ = self.ledger.release_bytes(a, node as u32, key.len() as u32);
-        }
-        if q.is_empty() {
-            self.tuple_owners[node].remove(&key);
-        }
-    }
-}
-
 /// Network-global mobility state: each mobile node's boot origin, motion
-/// model, and start time, plus the shared advance tick. Fully inert — no
-/// events, no per-step cost beyond one empty-`Vec` check — until
-/// [`AgillaNetwork::set_motion`] installs a non-static plan.
+/// model, and start time. Fully inert — no events, no per-step cost beyond
+/// one empty-`Vec` check — until [`AgillaNetwork::set_motion`] installs a
+/// non-static plan.
 ///
 /// Positions are a pure function of elapsed time (never integrated state),
 /// so a tick lands the mote on the same cell however ticks interleave with
 /// other events.
 #[derive(Debug, Default)]
 struct MotionState {
-    /// Time between position advances (meaningless while `paths` is empty).
-    tick: SimDuration,
     /// Per node: boot origin, motion model, and when the plan was installed.
     /// Empty (not all-`None`) when no plan is installed.
     paths: Vec<Option<(Location, Motion, SimTime)>>,
@@ -288,14 +210,15 @@ pub struct AgillaNetwork {
     session_ids: SessionIdGen,
     op_ids: SessionIdGen,
     /// Bytecode of every source text that assembled, so each distinct
-    /// program injected by source is assembled once per network.
-    assembled: HashMap<String, Vec<u8>>,
+    /// program injected by source is assembled once per network, and its
+    /// agents share one copy.
+    assembled: HashMap<String, Arc<[u8]>>,
     /// Bytecodes `agilla_analysis::verify` accepted on this network.
     /// Verification is a pure function of the code, so each distinct
     /// program is analyzed once; refusals are not kept and re-run.
-    verified: HashSet<Vec<u8>>,
-    /// Multi-tenancy state; inert until an application registers.
-    tenancy: Tenancy,
+    verified: HashSet<Arc<[u8]>>,
+    /// Multi-tenancy state: `None` until an application registers.
+    tenancy: Option<Box<Tenancy>>,
     /// Mobility state; inert until a motion plan is installed.
     motion: MotionState,
 }
@@ -377,7 +300,7 @@ impl AgillaNetwork {
             op_ids: SessionIdGen::new(),
             assembled: HashMap::new(),
             verified: HashSet::new(),
-            tenancy: Tenancy::default(),
+            tenancy: None,
             motion: MotionState::default(),
         };
         net.boot();
@@ -459,91 +382,30 @@ impl AgillaNetwork {
     ///
     /// # Errors
     ///
-    /// Assembly errors or admission failure.
+    /// As [`AgillaNetwork::inject_source_as`], less the quota refusals.
     pub fn inject_source(&mut self, source: &str) -> Result<AgentId, AgillaError> {
         let code = self.assemble(source)?;
-        self.inject_at(self.base, code)
+        self.inject_at_as(self.base, code, None)
     }
 
     /// Assembles `source` and injects at the node addressed by `loc`.
     ///
     /// # Errors
     ///
-    /// Assembly errors, unknown locations, or admission failure.
+    /// As [`AgillaNetwork::inject_source`], plus unknown locations.
     pub fn inject_source_at(
         &mut self,
         loc: Location,
         source: &str,
     ) -> Result<AgentId, AgillaError> {
         let code = self.assemble(source)?;
-        let node = self
-            .medium
-            .topology()
-            .node_near(loc, self.config.epsilon)
-            .ok_or_else(|| AgillaError::UnknownLocation(loc.to_string()))?;
-        self.inject_at(node, code)
-    }
-
-    /// Injects bytecode as a new agent on `node`.
-    ///
-    /// # Errors
-    ///
-    /// Admission failure, an over-budget program, or (with
-    /// [`AgillaConfig::verify_on_inject`](crate::AgillaConfig::verify_on_inject))
-    /// a program the static verifier cannot prove fault-free.
-    pub fn inject_at(&mut self, node: NodeId, code: Vec<u8>) -> Result<AgentId, AgillaError> {
+        let node = self.mote_near(loc)?;
         self.inject_at_as(node, code, None)
     }
 
     /// Assembles `source` and injects the agent at the base station on
-    /// behalf of a registered application.
-    ///
-    /// # Errors
-    ///
-    /// As [`AgillaNetwork::inject_at_as`], plus assembly errors.
-    pub fn inject_source_as(&mut self, source: &str, app: AppId) -> Result<AgentId, AgillaError> {
-        let code = self.assemble(source)?;
-        self.inject_at_as(self.base, code, Some(app))
-    }
-
-    /// Assembles `source` and injects at the node addressed by `loc` on
-    /// behalf of a registered application.
-    ///
-    /// # Errors
-    ///
-    /// As [`AgillaNetwork::inject_at_as`], plus assembly errors and
-    /// unknown locations.
-    pub fn inject_source_at_as(
-        &mut self,
-        loc: Location,
-        source: &str,
-        app: AppId,
-    ) -> Result<AgentId, AgillaError> {
-        let code = self.assemble(source)?;
-        let node = self
-            .medium
-            .topology()
-            .node_near(loc, self.config.epsilon)
-            .ok_or_else(|| AgillaError::UnknownLocation(loc.to_string()))?;
-        self.inject_at_as(node, code, Some(app))
-    }
-
-    /// The bytecode of `source`, assembled on its first injection into this
-    /// network. Assembly errors are not kept, so each failing arrival
-    /// reports its own error.
-    fn assemble(&mut self, source: &str) -> Result<Vec<u8>, AgillaError> {
-        if let Some(code) = self.assembled.get(source) {
-            return Ok(code.clone());
-        }
-        let code = asm::assemble(source)
-            .map_err(|e| AgillaError::BadAgent(e.to_string()))?
-            .into_code();
-        self.assembled.insert(source.to_owned(), code.clone());
-        Ok(code)
-    }
-
-    /// Injects bytecode as a new agent on `node`, optionally on behalf of
-    /// an application registered with [`AgillaNetwork::register_app`].
+    /// behalf of an application registered with
+    /// [`AgillaNetwork::register_app`].
     ///
     /// App-tagged injections are quota-checked: the app is charged one
     /// agent slot on the mote, refused with
@@ -555,14 +417,62 @@ impl AgillaNetwork {
     ///
     /// # Errors
     ///
-    /// Admission failure (dead mote, no slot, quota), an over-budget
-    /// program, or (with
+    /// Assembly errors, admission failure (dead mote, no slot, quota), an
+    /// over-budget program, or (with
     /// [`AgillaConfig::verify_on_inject`](crate::AgillaConfig::verify_on_inject))
     /// a program the static verifier cannot prove fault-free.
-    pub fn inject_at_as(
+    pub fn inject_source_as(&mut self, source: &str, app: AppId) -> Result<AgentId, AgillaError> {
+        let code = self.assemble(source)?;
+        self.inject_at_as(self.base, code, Some(app))
+    }
+
+    /// Assembles `source` and injects at the node addressed by `loc` on
+    /// behalf of a registered application.
+    ///
+    /// # Errors
+    ///
+    /// As [`AgillaNetwork::inject_source_as`], plus unknown locations.
+    pub fn inject_source_at_as(
+        &mut self,
+        loc: Location,
+        source: &str,
+        app: AppId,
+    ) -> Result<AgentId, AgillaError> {
+        let code = self.assemble(source)?;
+        let node = self.mote_near(loc)?;
+        self.inject_at_as(node, code, Some(app))
+    }
+
+    /// The node addressed by `loc`, within the configured epsilon.
+    fn mote_near(&self, loc: Location) -> Result<NodeId, AgillaError> {
+        self.medium
+            .topology()
+            .node_near(loc, self.config.epsilon)
+            .ok_or_else(|| AgillaError::UnknownLocation(loc.to_string()))
+    }
+
+    /// The bytecode of `source`, assembled on its first injection into this
+    /// network. Assembly errors are not kept, so each failing arrival
+    /// reports its own error.
+    fn assemble(&mut self, source: &str) -> Result<Arc<[u8]>, AgillaError> {
+        if let Some(code) = self.assembled.get(source) {
+            return Ok(Arc::clone(code));
+        }
+        let code: Arc<[u8]> = asm::assemble(source)
+            .map_err(|e| AgillaError::BadAgent(e.to_string()))?
+            .into_code()
+            .into();
+        self.assembled.insert(source.to_owned(), Arc::clone(&code));
+        Ok(code)
+    }
+
+    /// Injects bytecode as a new agent on `node`, on behalf of `app` when
+    /// tagged (see [`AgillaNetwork::inject_source_as`]). A refused tagged
+    /// arrival counts under `tenancy.<app>.rejected`.
+    fn inject_at_as(
         &mut self,
         node: NodeId,
-        code: Vec<u8>,
+        code: Arc<[u8]>,
         app: Option<AppId>,
     ) -> Result<AgentId, AgillaError> {
         let result = self.inject_at_as_inner(node, code, app);
@@ -574,10 +484,13 @@ impl AgillaNetwork {
         result
     }
 
+    /// Admission in its fixed order — dead mote, slot (with preemption),
+    /// app charge, verifier — and only then an agent id, so a refused
+    /// arrival consumes none.
     fn inject_at_as_inner(
         &mut self,
         node: NodeId,
-        code: Vec<u8>,
+        code: Arc<[u8]>,
         app: Option<AppId>,
     ) -> Result<AgentId, AgillaError> {
         let idx = node.index();
@@ -593,41 +506,47 @@ impl AgillaNetwork {
         if !self.nodes[idx].can_admit(code.len()) {
             // Priority preemption: before turning a registered app away,
             // try evicting one agent of a strictly lower-priority app.
-            let preempted = app.is_some_and(|a| self.try_preempt(idx, a, now));
-            if !preempted || !self.nodes[idx].can_admit(code.len()) {
+            let victim = app.and_then(|a| {
+                self.tenancy
+                    .as_ref()?
+                    .preempt_victim(a, &mut self.nodes[idx])
+            });
+            if let Some(v) = victim {
+                self.depart(idx, v, Departure::Preempted, now);
+            }
+            if victim.is_none() || !self.nodes[idx].can_admit(code.len()) {
                 return Err(AgillaError::Admission {
                     reason: AdmissionReason::NoSlots,
                 });
             }
         }
+        // With no app registered there is no ledger to charge: a tagged
+        // arrival is refused like one from an unknown app.
         if let Some(a) = app {
-            if self.tenancy.ledger.charge_slot(a, idx as u32).is_err() {
+            if !self.tenancy.as_mut().is_some_and(|t| t.charge_slot(a, idx)) {
                 return Err(AgillaError::Admission {
                     reason: AdmissionReason::QuotaExceeded,
                 });
             }
         }
-        if self.config.verify_on_inject && !self.verified.contains(&code) {
+        if self.config.verify_on_inject && !self.verified.contains(&*code) {
             if let Err(e) = agilla_analysis::verify(&code) {
-                self.tenancy_refund_slot(app, idx);
+                if let (Some(a), Some(t)) = (app, self.tenancy.as_mut()) {
+                    t.refund_slot(a, idx);
+                }
                 return Err(e.into());
             }
-            self.verified.insert(code.clone());
+            self.verified.insert(Arc::clone(&code));
         }
         let id = AgentId(self.agent_ids.allocate());
-        let mut agent = match AgentState::with_code_budget(id, code, CODE_BUDGET) {
-            Ok(a) => a,
-            Err(e) => {
-                self.tenancy_refund_slot(app, idx);
-                return Err(e.into());
-            }
-        };
+        let mut agent = AgentState::with_code_budget(id, code, CODE_BUDGET)
+            .expect("can_admit bounds the code by CODE_BUDGET");
         if self.config.verify_on_inject {
             agent.mark_verified();
         }
         self.nodes[idx].admit(agent).expect("can_admit checked");
-        if let Some(a) = app {
-            self.tenancy.app_of.insert(id, a);
+        if let (Some(a), Some(t)) = (app, self.tenancy.as_mut()) {
+            t.adopt(id, a);
             self.metrics.incr(format!("tenancy.{a}.injected"));
         }
         self.log.push(OpRecord::AgentInjected {
@@ -644,246 +563,22 @@ impl AgillaNetwork {
         Ok(id)
     }
 
-    // --- multi-tenancy ----------------------------------------------------
-
     /// Registers a multi-tenant application: its quota enters the ledger
     /// and its priority governs preemption. Until the first registration
-    /// the tenancy machinery is fully inert — untagged injections and all
-    /// existing figures behave exactly as before, byte for byte.
+    /// the network holds no tenancy state at all — untagged injections and
+    /// all existing figures behave exactly as before, byte for byte.
     pub fn register_app(&mut self, profile: AppProfile) {
-        if self.tenancy.tuple_owners.is_empty() {
-            self.tenancy.tuple_owners = vec![BTreeMap::new(); self.nodes.len()];
-        }
-        self.tenancy.ledger.register(profile.id, profile.quota);
-        self.tenancy.apps.insert(profile.id, profile);
+        let nodes = self.nodes.len();
+        self.tenancy
+            .get_or_insert_with(|| Box::new(Tenancy::new(nodes)))
+            .register(profile);
     }
 
-    /// The profile registered for `id`, if any.
-    pub fn app(&self, id: AppId) -> Option<&AppProfile> {
-        self.tenancy.apps.get(&id)
-    }
-
-    /// The application owning `agent`, if it was injected (or cloned from
-    /// an agent injected) on behalf of one.
-    pub fn app_of(&self, agent: AgentId) -> Option<AppId> {
-        self.tenancy.app_of.get(&agent).copied()
-    }
-
-    /// The per-(app, mote) quota ledger, read-only.
+    /// The per-(app, mote) quota ledger, read-only; empty until an
+    /// application registers.
     pub fn quota_ledger(&self) -> &QuotaLedger {
-        &self.tenancy.ledger
-    }
-
-    /// Refunds the slot charged during a failed injection attempt.
-    fn tenancy_refund_slot(&mut self, app: Option<AppId>, idx: usize) {
-        if let Some(a) = app {
-            let _ = self.tenancy.ledger.release_slot(a, idx as u32);
-        }
-    }
-
-    /// Releases the agent's slot charge and forgets its app mapping (the
-    /// agent is gone from the network: halt, fault, eviction). Returns
-    /// the owning app, if any.
-    fn tenancy_forget_agent(&mut self, idx: usize, agent: AgentId) -> Option<AppId> {
-        let app = self.tenancy.app_of.remove(&agent)?;
-        let _ = self.tenancy.ledger.release_slot(app, idx as u32);
-        Some(app)
-    }
-
-    /// Releases the agent's slot charge but keeps its app mapping — the
-    /// agent left this mote but lives on (a migration departure).
-    pub(super) fn tenancy_release_slot(&mut self, idx: usize, agent: AgentId) {
-        if let Some(app) = self.tenancy.app_of.get(&agent).copied() {
-            let _ = self.tenancy.ledger.release_slot(app, idx as u32);
-        }
-    }
-
-    /// Charges one agent slot on `idx` to the app owning `agent`. True
-    /// when the agent is unowned or the charge fits; false (charging
-    /// nothing) when the app's per-mote cap refuses.
-    pub(super) fn tenancy_charge_slot(&mut self, idx: usize, agent: AgentId) -> bool {
-        let Some(app) = self.tenancy.app_of.get(&agent).copied() else {
-            return true;
-        };
-        self.tenancy.ledger.charge_slot(app, idx as u32).is_ok()
-    }
-
-    /// Clones inherit the parent's application.
-    pub(super) fn tenancy_inherit(&mut self, parent: AgentId, child: AgentId) {
-        if parent == child {
-            return;
-        }
-        if let Some(app) = self.tenancy.app_of.get(&parent).copied() {
-            self.tenancy.app_of.insert(child, app);
-        }
-    }
-
-    /// Drops a lost agent's app mapping (it no longer exists anywhere and
-    /// holds no slot — e.g. a migration image that could not be resumed).
-    pub(super) fn tenancy_forget_mapping(&mut self, agent: AgentId) {
-        self.tenancy.app_of.remove(&agent);
-    }
-
-    /// Records which app issued remote op `op_id` (clearing any stale
-    /// mapping left by a wrapped id whose completion event was lost).
-    pub(super) fn tenancy_track_op(&mut self, op_id: u16, agent: AgentId) {
-        if !self.tenancy.enabled() {
-            return;
-        }
-        self.tenancy.op_app.remove(&op_id);
-        if let Some(app) = self.tenancy.app_of.get(&agent).copied() {
-            self.tenancy.op_app.insert(op_id, app);
-        }
-    }
-
-    /// Forgets a completed remote op's app attribution.
-    pub(super) fn tenancy_complete_op(&mut self, op_id: u16) {
-        self.tenancy.op_app.remove(&op_id);
-    }
-
-    /// Whether the app that issued remote op `op_id` may store `needed`
-    /// more tuple bytes on `idx` (true for unowned ops / tenancy off).
-    pub(super) fn tenancy_can_store_remote(&self, op_id: u16, idx: usize, needed: usize) -> bool {
-        if !self.tenancy.enabled() {
-            return true;
-        }
-        match self.tenancy.op_app.get(&op_id) {
-            Some(app) => self
-                .tenancy
-                .ledger
-                .can_charge_bytes(*app, idx as u32, needed as u32),
-            None => true,
-        }
-    }
-
-    /// Charges a remotely stored tuple to the issuing app and records the
-    /// ownership for later crediting.
-    pub(super) fn tenancy_store_remote(&mut self, op_id: u16, idx: usize, t: &Tuple) {
-        if !self.tenancy.enabled() {
-            return;
-        }
-        if let Some(app) = self.tenancy.op_app.get(&op_id).copied() {
-            self.tenancy.record_insertion(app, idx, t);
-        }
-    }
-
-    /// Credits the FIFO owner of a tuple removed outside an engine step
-    /// (a served remote `rinp`).
-    pub(super) fn tenancy_credit_removal(&mut self, idx: usize, t: &Tuple) {
-        if self.tenancy.enabled() {
-            self.tenancy.credit_removal(idx, t);
-        }
-    }
-
-    /// Attempts to free one agent slot on `idx` for an arriving agent of
-    /// `app` by evicting the lowest-priority resident agent belonging to
-    /// a strictly lower-priority application. Only interruptible agents
-    /// (Ready / Sleeping / Waiting / Blocked) are candidates: agents
-    /// mid-migration or awaiting a remote reply hold protocol sessions
-    /// that must resolve first. (An evicted sleeper may leave a stale
-    /// wake event behind; `handle_wake` checks the occupant's own wake
-    /// deadline, so the stale timer never wakes a successor early.)
-    /// Victim choice is deterministic: lowest priority, ties broken
-    /// round-robin — a per-node cursor rotates over the slots so repeated
-    /// preemptions against equal-priority residents spread the evictions
-    /// instead of hammering the lowest slot every time.
-    fn try_preempt(&mut self, idx: usize, app: AppId, now: SimTime) -> bool {
-        let Some(arriving) = self.tenancy.apps.get(&app).map(|p| p.priority) else {
-            return false;
-        };
-        let mut candidates: Vec<(Priority, usize)> = Vec::new();
-        for (slot_idx, slot) in self.nodes[idx].slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            if !matches!(
-                slot.status,
-                AgentStatus::Ready
-                    | AgentStatus::Sleeping { .. }
-                    | AgentStatus::Waiting
-                    | AgentStatus::Blocked
-            ) {
-                continue;
-            }
-            let Some(owner) = self.tenancy.app_of.get(&slot.agent.id()) else {
-                continue;
-            };
-            let Some(pri) = self.tenancy.apps.get(owner).map(|p| p.priority) else {
-                continue;
-            };
-            if pri < arriving {
-                candidates.push((pri, slot_idx));
-            }
-        }
-        let Some(lowest) = candidates.iter().map(|&(p, _)| p).min() else {
-            return false;
-        };
-        // Round-robin among the lowest-priority residents: scan slots
-        // cyclically from the node's cursor and take the first candidate.
-        let n_slots = self.nodes[idx].slots.len();
-        let cursor = self.nodes[idx].preempt_cursor;
-        let slot_idx = (0..n_slots)
-            .map(|k| (cursor + k) % n_slots)
-            .find(|s| candidates.iter().any(|&(p, c)| p == lowest && c == *s))
-            .expect("a lowest-priority candidate exists");
-        self.nodes[idx].preempt_cursor = (slot_idx + 1) % n_slots;
-        self.evict_for_preemption(idx, slot_idx, now);
-        true
-    }
-
-    /// Evicts the agent in `slot_idx` by priority preemption: reactions
-    /// deregistered, quota freed atomically with the slot, an
-    /// [`OpRecord::AgentEvicted`] appended. The victim's tuples stay in
-    /// the space (tuples outlive agents in Linda) and remain charged to
-    /// its app until consumed.
-    fn evict_for_preemption(&mut self, idx: usize, slot_idx: usize, now: SimTime) {
-        let node_id = self.nodes[idx].id;
-        if let Some(slot) = self.nodes[idx].evict(slot_idx) {
-            let id = slot.agent.id();
-            self.nodes[idx].registry.remove_all(id);
-            if let Some(app) = self.tenancy_forget_agent(idx, id) {
-                self.metrics.incr(format!("tenancy.{app}.evicted"));
-            }
-            self.log.push(OpRecord::AgentEvicted {
-                agent: id,
-                node: node_id,
-                at: now,
-            });
-            self.tracer
-                .record_with(now, Some(node_id), "agent.evict", || format!("{id}"));
-        }
-    }
-
-    /// Charges one executed instruction to the app owning `agent`. True
-    /// when the agent is unowned or the budget has room; false when the
-    /// app's per-mote instruction budget is spent.
-    fn tenancy_charge_instruction(&mut self, idx: usize, agent: AgentId) -> bool {
-        let Some(app) = self.tenancy.app_of.get(&agent).copied() else {
-            return true;
-        };
-        match self.tenancy.ledger.charge_instructions(app, idx as u32, 1) {
-            Ok(()) => true,
-            Err(_) => {
-                self.metrics.incr(format!("tenancy.{app}.over_budget"));
-                false
-            }
-        }
-    }
-
-    /// Kills an agent whose application exhausted its per-mote
-    /// instruction budget: evicted and recorded as a fault, quota freed.
-    fn quota_kill(&mut self, idx: usize, slot_idx: usize, now: SimTime) {
-        let node_id = self.nodes[idx].id;
-        if let Some(slot) = self.nodes[idx].evict(slot_idx) {
-            let id = slot.agent.id();
-            self.nodes[idx].registry.remove_all(id);
-            self.tenancy_forget_agent(idx, id);
-            self.log.push(OpRecord::AgentFaulted {
-                agent: id,
-                node: node_id,
-                at: now,
-            });
-            self.tracer
-                .record_with(now, Some(node_id), "agent.quota_kill", || format!("{id}"));
-        }
+        static NO_APPS: QuotaLedger = QuotaLedger::new();
+        self.tenancy.as_ref().map_or(&NO_APPS, |t| &t.ledger)
     }
 
     /// The base-station node (agents are injected here by default).
@@ -1038,9 +733,10 @@ impl AgillaNetwork {
     }
 
     /// Installs a motion plan: each entry's node (addressed by its boot
-    /// location) starts advancing along its motion model on the plan's
-    /// tick, from now. Installing a static plan is a no-op — no events are
-    /// scheduled and every pre-mobility timeline stays byte-identical.
+    /// location) starts advancing along its motion model every
+    /// [`MotionPlan::DEFAULT_TICK`], from now. Installing a static plan is
+    /// a no-op — no events are scheduled and every pre-mobility timeline
+    /// stays byte-identical.
     ///
     /// # Panics
     ///
@@ -1050,7 +746,6 @@ impl AgillaNetwork {
             return;
         }
         let now = self.now();
-        self.motion.tick = plan.tick;
         self.motion.paths = vec![None; self.nodes.len()];
         for (origin, motion) in &plan.entries {
             let node = self
@@ -1060,7 +755,7 @@ impl AgillaNetwork {
                 .unwrap_or_else(|| panic!("motion entry at {origin} addresses no node"));
             self.motion.paths[node.index()] = Some((*origin, motion.clone(), now));
             self.queue
-                .schedule(now + plan.tick, Event::MotionTick { node });
+                .schedule(now + MotionPlan::DEFAULT_TICK, Event::MotionTick { node });
         }
     }
 
@@ -1106,8 +801,10 @@ impl AgillaNetwork {
                     format!("-> {new_loc}")
                 });
         }
-        self.queue
-            .schedule(now + self.motion.tick, Event::MotionTick { node: node_id });
+        self.queue.schedule(
+            now + MotionPlan::DEFAULT_TICK,
+            Event::MotionTick { node: node_id },
+        );
     }
 
     /// Fault injection: replaces the channel loss model mid-run — a
@@ -1360,7 +1057,7 @@ impl AgillaNetwork {
                     }
                 }
                 Err(e) => {
-                    self.kill_agent(idx, slot_idx, e, now);
+                    self.depart(idx, slot_idx, Departure::Faulted(e), now);
                     EngineStep::Idle
                 }
             };
@@ -1392,12 +1089,7 @@ impl AgillaNetwork {
             // Tenancy: an app-owned agent sees its remaining per-mote byte
             // quota as extra back-pressure on `out` (indistinguishable, to
             // the agent, from a full arena).
-            let tenancy_on = tenancy.enabled();
-            let byte_budget = if tenancy_on {
-                tenancy.byte_budget(owner, idx as u32)
-            } else {
-                None
-            };
+            let byte_budget = tenancy.as_ref().and_then(|t| t.byte_budget(owner, idx));
             // One decode serves both the cost model and execution.
             let decoded = Instruction::decode(slot.agent.code(), slot.agent.pc());
             let (op_cost, op_class) = decoded
@@ -1419,7 +1111,7 @@ impl AgillaNetwork {
                 removed: Vec::new(),
                 sensed: Vec::new(),
                 byte_budget,
-                track_removals: tenancy_on,
+                track_removals: tenancy.is_some(),
                 motion,
                 idx,
             };
@@ -1441,8 +1133,8 @@ impl AgillaNetwork {
 
         // Tenancy: settle the ledger for tuples this step inserted into or
         // removed from the local space (FIFO ownership attribution).
-        if self.tenancy.enabled() && !(inserted.is_empty() && removed.is_empty()) {
-            self.tenancy.commit_tuples(owner, idx, &inserted, &removed);
+        if let Some(t) = self.tenancy.as_mut() {
+            t.commit_tuples(owner, idx, &inserted, &removed);
         }
 
         // Energy: the instruction's execution time, attributed by its
@@ -1478,14 +1170,18 @@ impl AgillaNetwork {
         // per-mote budget. The instruction's side effects stand (it ran);
         // an over-budget app's agent is killed before any migration,
         // remote session, or sleep timer it requested is set up.
-        if self.tenancy.enabled() && !self.tenancy_charge_instruction(idx, owner) {
-            self.quota_kill(idx, slot_idx, now);
+        if self
+            .tenancy
+            .as_mut()
+            .is_some_and(|t| !t.charge_instruction(owner, idx))
+        {
+            self.depart(idx, slot_idx, Departure::OverBudget, now);
             return EngineStep::Ran { cost };
         }
         match result {
             Ok(StepResult::Continue) => {}
             Ok(StepResult::Halted) => {
-                self.finish_agent(idx, slot_idx, now);
+                self.depart(idx, slot_idx, Departure::Halted, now);
             }
             Ok(StepResult::Sleep { ticks }) => {
                 // One tick is 1/8 s (Fig. 13's 4800 ticks = 10 minutes).
@@ -1513,7 +1209,7 @@ impl AgillaNetwork {
                 self.issue_remote(idx, slot_idx, op, now);
             }
             Err(e) => {
-                self.kill_agent(idx, slot_idx, e, now);
+                self.depart(idx, slot_idx, Departure::Faulted(e), now);
             }
         }
         EngineStep::Ran { cost }
@@ -1567,50 +1263,94 @@ impl AgillaNetwork {
         self.schedule_engine(idx, now, SimDuration::ZERO);
     }
 
-    fn finish_agent(&mut self, idx: usize, slot_idx: usize, now: SimTime) {
-        let node_id = self.nodes[idx].id;
-        if let Some(slot) = self.nodes[idx].evict(slot_idx) {
-            let id = slot.agent.id();
-            self.nodes[idx].registry.remove_all(id);
-            if let Some(app) = self.tenancy_forget_agent(idx, id) {
-                self.metrics.incr(format!("tenancy.{app}.completed"));
-                // Per-app completion latency (injection to halt), for the
-                // fig_tenancy SLO table. Clones have no injection record
-                // and are skipped. Saturating: an injection during a Run
-                // step is stamped at the run deadline while its first
-                // engine step lands at the queue's (earlier) internal
-                // clock, so a trivial agent can halt marginally "before"
-                // its injection record.
-                if let Some(t0) = self.log.injected_at(id) {
-                    let ms = now.saturating_since(t0).as_micros() / 1000;
-                    self.metrics
-                        .observe_named(format!("tenancy.{app}.latency_ms"), ms);
+    /// Ends the stay of the agent in `slot_idx` for good: the slot is
+    /// cleared in place, the agent's reactions are deregistered, its app
+    /// releases the slot and forgets it, and the departure is logged and
+    /// traced. The agent's tuples stay in the space (tuples outlive agents
+    /// in Linda) and remain charged to its app until consumed.
+    // Inlined into each caller, like the per-kind copies it replaces: every
+    // link of Fig. 11's `wclone` chain ends in a halt, and as an out-of-line
+    // call this cost `paper_testbed` trials/s (EXPERIMENTS.md, "One way in,
+    // one way out").
+    #[inline(always)]
+    fn depart(&mut self, idx: usize, slot_idx: usize, why: Departure, now: SimTime) {
+        let node = self.nodes[idx].id;
+        let Some(agent) = self.nodes[idx].slots[slot_idx]
+            .as_ref()
+            .map(|s| s.agent.id())
+        else {
+            return;
+        };
+        self.nodes[idx].slots[slot_idx] = None;
+        self.nodes[idx].registry.remove_all(agent);
+        if let Some(app) = self.tenancy.as_mut().and_then(|t| t.depart(agent, idx)) {
+            match why {
+                Departure::Halted => {
+                    self.metrics.incr(format!("tenancy.{app}.completed"));
+                    // Per-app completion latency (injection to halt), for
+                    // the fig_tenancy SLO table. Clones have no injection
+                    // record and are skipped. Saturating: an injection
+                    // during a Run step is stamped at the run deadline
+                    // while its first engine step lands at the queue's
+                    // (earlier) internal clock, so a trivial agent can halt
+                    // marginally "before" its injection record.
+                    if let Some(t0) = self.log.injected_at(agent) {
+                        let ms = now.saturating_since(t0).as_micros() / 1000;
+                        self.metrics
+                            .observe_named(format!("tenancy.{app}.latency_ms"), ms);
+                    }
                 }
+                Departure::Faulted(_) => {}
+                Departure::OverBudget => self.metrics.incr(format!("tenancy.{app}.over_budget")),
+                Departure::Preempted => self.metrics.incr(format!("tenancy.{app}.evicted")),
             }
-            self.log.push(OpRecord::AgentHalted {
-                agent: id,
-                node: node_id,
-                at: now,
-            });
-            self.tracer
-                .record_with(now, Some(node_id), "agent.halt", || format!("{id}"));
         }
+        let at = now;
+        let (record, kind) = match why {
+            Departure::Halted => (OpRecord::AgentHalted { agent, node, at }, "agent.halt"),
+            Departure::Faulted(_) => (OpRecord::AgentFaulted { agent, node, at }, "agent.fault"),
+            Departure::OverBudget => (
+                OpRecord::AgentFaulted { agent, node, at },
+                "agent.quota_kill",
+            ),
+            Departure::Preempted => (OpRecord::AgentEvicted { agent, node, at }, "agent.evict"),
+        };
+        self.log.push(record);
+        self.tracer
+            .record_with(now, Some(node), kind, || match why {
+                Departure::Faulted(err) => format!("{agent}: {err}"),
+                _ => format!("{agent}"),
+            });
     }
 
-    fn kill_agent(&mut self, idx: usize, slot_idx: usize, err: VmError, now: SimTime) {
-        let node_id = self.nodes[idx].id;
-        if let Some(slot) = self.nodes[idx].evict(slot_idx) {
-            let id = slot.agent.id();
-            self.nodes[idx].registry.remove_all(id);
-            self.tenancy_forget_agent(idx, id);
-            self.log.push(OpRecord::AgentFaulted {
-                agent: id,
-                node: node_id,
-                at: now,
-            });
-            self.tracer
-                .record_with(now, Some(node_id), "agent.fault", || format!("{id}: {err}"));
+    /// Admits `agent`, which already exists — a local clone, a failed
+    /// migration resuming, an arrival — on `idx` together with its
+    /// `reactions`, charging its app one slot. False when the mote or the
+    /// app's per-mote cap has no room: the agent is then dropped for good.
+    // Inlined for the same reason as `depart`: each `wclone` link runs one
+    // local-clone re-admission.
+    #[inline(always)]
+    fn readmit(&mut self, idx: usize, mut agent: AgentState, reactions: Vec<Reaction>) -> bool {
+        let room = self.nodes[idx].can_admit(agent.code().len());
+        let id = agent.id();
+        if !self
+            .tenancy
+            .as_mut()
+            .map_or(room, |t| t.readmit(id, idx, room))
+        {
+            return false;
         }
+        if self.config.verify_on_inject {
+            // Migration never alters code, so the program is the one the
+            // verifier accepted at injection; re-arm the runtime's
+            // verified-jump assertions for it.
+            agent.mark_verified();
+        }
+        self.nodes[idx].admit(agent);
+        for r in reactions {
+            let _ = self.nodes[idx].registry.register(r);
+        }
+        true
     }
 
     // --- radio / MAC ------------------------------------------------------

@@ -2,16 +2,15 @@
 //! routing (Section 3.2).
 //!
 //! The initiator side rides the shared reliable-session layer
-//! ([`super::session`]): retransmission state lives in
-//! [`RetxState`](super::session::RetxState) inside each
-//! [`PendingRemote`](crate::node::PendingRemote). The server side answers
-//! duplicate requests from a TTL'd
-//! [`CompletedCache`](super::session::CompletedCache) keyed by
-//! `(origin NodeId, op_id)` — wrap-safe, and guaranteed to outlive the
-//! initiator's entire retransmit window — so a retransmitted `rout` whose
-//! first execution already happened is re-acked, never re-executed. That is
-//! the exactly-once guarantee for remote operations, the same property the
-//! migration receiver's completed-session cache provides for agents.
+//! ([`super::session`]): retransmission state lives in [`RetxState`]
+//! inside each [`PendingRemote`]. The server side answers duplicate
+//! requests from a TTL'd [`CompletedCache`](super::session::CompletedCache)
+//! keyed by `(origin NodeId, op_id)` — wrap-safe, and guaranteed to outlive
+//! the initiator's entire retransmit window — so a retransmitted `rout`
+//! whose first execution already happened is re-acked, never re-executed.
+//! That is the exactly-once guarantee for remote operations, the same
+//! property the migration receiver's completed-session cache provides for
+//! agents.
 
 use agilla_tuplespace::Tuple;
 use agilla_vm::exec::{self, RemoteOp};
@@ -24,7 +23,7 @@ use crate::stats::OpRecord;
 use crate::wire::{self, am, RtsKind, RtsReply, RtsRequest};
 
 use super::session::{RetxState, RetxVerdict};
-use super::{AgillaNetwork, Event};
+use super::{AgillaNetwork, Departure, Event};
 
 /// The result of a remote tuple-space operation, delivered to the waiting
 /// agent by `complete_remote`.
@@ -59,7 +58,9 @@ impl AgillaNetwork {
             .agent
             .id();
         let op_id = self.op_ids.allocate();
-        self.tenancy_track_op(op_id, agent_id);
+        if let Some(t) = self.tenancy.as_mut() {
+            t.track_op(op_id, agent_id);
+        }
         let dest = op.dest();
         self.log.push(OpRecord::RemoteIssued {
             op_id,
@@ -287,24 +288,26 @@ impl AgillaNetwork {
                 Ok(t) => {
                     // A remote `out` is charged to the issuing app; past its
                     // byte quota the request fails exactly like a full space.
-                    if !self.tenancy_can_store_remote(req.op_id, idx, t.encoded_len()) {
+                    let needed = t.encoded_len();
+                    let fits = self
+                        .tenancy
+                        .as_ref()
+                        .is_none_or(|tn| tn.can_store_remote(req.op_id, idx, needed));
+                    if !fits || self.nodes[idx].space.out(t.clone()).is_err() {
                         return (None, false, vec![]);
                     }
-                    match self.nodes[idx].space.out(t.clone()) {
-                        Ok(()) => {
-                            self.tenancy_store_remote(req.op_id, idx, &t);
-                            (None, true, vec![t])
-                        }
-                        Err(_) => (None, false, vec![]),
+                    if let Some(tn) = self.tenancy.as_mut() {
+                        tn.store_remote(req.op_id, idx, &t);
                     }
+                    (None, true, vec![t])
                 }
                 Err(_) => (None, false, vec![]),
             },
             RtsKind::Inp => match req.template() {
                 Ok(tmpl) => {
                     let found = self.nodes[idx].space.inp(&tmpl);
-                    if let Some(t) = &found {
-                        self.tenancy_credit_removal(idx, t);
+                    if let (Some(t), Some(tn)) = (&found, self.tenancy.as_mut()) {
+                        tn.credit_removal(idx, t);
                     }
                     let ok = found.is_some();
                     (found, ok, vec![])
@@ -449,7 +452,9 @@ impl AgillaNetwork {
         } = outcome;
         // The op is settled whether or not the issuer still occupies its
         // slot — drop the attribution before the delivery checks below.
-        self.tenancy_complete_op(op_id);
+        if let Some(t) = self.tenancy.as_mut() {
+            t.complete_op(op_id);
+        }
         let node_id = self.nodes[idx].id;
         let Some(slot) = self.nodes[idx].slots[slot_idx].as_mut() else {
             return;
@@ -485,7 +490,7 @@ impl AgillaNetwork {
                     });
                 self.schedule_engine(idx, now, SimDuration::ZERO);
             }
-            Err(e) => self.kill_agent(idx, slot_idx, e, now),
+            Err(e) => self.depart(idx, slot_idx, Departure::Faulted(e), now),
         }
     }
 }

@@ -85,15 +85,21 @@ pub struct SenderSession {
     /// `hop_failover` on, the session walks `next_hop_candidates` order
     /// skipping these before giving up.
     pub tried_hops: Vec<NodeId>,
-    /// A mover's state, held for resuming it here if the session fails.
-    /// `None` for clones and relays.
-    pub held_agent: Option<AgentState>,
-    /// The slot holding a clone's paused original, which resumes when the
-    /// session ends: condition 2 on success, 0 on failure. `None` for
-    /// movers and relays.
-    pub origin_slot: Option<usize>,
+    /// What resumes here when the session ends.
+    pub resume: Resume,
     /// Shared-session-layer retransmission state for the in-flight message.
     pub retx: RetxState,
+}
+
+/// What a migration sender session resumes on its own mote.
+#[derive(Debug)]
+pub enum Resume {
+    /// The slot holding a clone's paused original: condition 2 once the
+    /// copy is dispatched, 0 if the session fails.
+    Original(usize),
+    /// A mover's state, or the agent a relay received: re-admitted here
+    /// with condition 0 if the session fails.
+    Held(AgentState),
 }
 
 /// A migration receiver session: reassembly plus the abort watchdog.

@@ -647,15 +647,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the motion advance tick (default
-    /// [`MotionPlan::DEFAULT_TICK`]): how often moving motes re-resolve
-    /// their position into the radio topology.
-    #[must_use]
-    pub fn motion_tick(mut self, tick: SimDuration) -> Self {
-        self.motion = self.motion.clone().with_tick(tick);
-        self
-    }
-
     /// Adds a closed-loop client. Client order is part of the spec: it
     /// fixes polling order at each 50 ms boundary.
     #[must_use]

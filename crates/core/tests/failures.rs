@@ -112,12 +112,7 @@ halt
 ARRIVED pushc 7
 putled
 halt";
-    let id = net
-        .inject_at(
-            NodeId(0),
-            agilla_vm::asm::assemble(src).unwrap().into_code(),
-        )
-        .unwrap();
+    let id = net.inject_source(src).unwrap();
     net.run_for(SimDuration::from_secs(10));
     assert_eq!(net.log().migration_failures(), 1);
     assert!(
@@ -129,6 +124,38 @@ halt";
         1,
         "condition 0 signalled the failure"
     );
+}
+
+#[test]
+fn relay_whose_onward_hop_fails_readmits_the_agent() {
+    // A four-node line: the agent leaves (1,1) for (4,1), but (3,1) is dead
+    // while its neighbors still believe in it. The first hop succeeds, so
+    // the relay at (2,1) holds the agent when its own hop fails, and
+    // resumes it there with condition 0.
+    let topo = Topology::new(
+        (1..=4).map(|x| Location::new(x, 1)).collect(),
+        Connectivity::GridAdjacent,
+    );
+    let mut net = AgillaNetwork::new(
+        topo,
+        LossModel::perfect(),
+        AgillaConfig::default(),
+        Environment::ambient(),
+        3,
+    );
+    net.kill_node(NodeId(2));
+    let id = net
+        .inject_source("pushloc 4 1\nsmove\npushcl 800\nsleep\nhalt")
+        .unwrap();
+    net.run_for(SimDuration::from_secs(10));
+    assert_eq!(net.find_agent(id), Some(NodeId(1)), "resumed at the relay");
+    assert_eq!(net.agent_state(id).unwrap().condition(), 0);
+    assert_eq!(net.log().migration_failures(), 1);
+    assert!(net.log().records().iter().any(|r| matches!(
+        r,
+        agilla::stats::OpRecord::MigrationFailed { agent, node, .. }
+            if *agent == id && *node == NodeId(1)
+    )));
 }
 
 #[test]

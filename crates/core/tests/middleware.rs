@@ -180,6 +180,16 @@ PARK wait";
 }
 
 #[test]
+fn agents_injected_from_one_source_share_one_code_allocation() {
+    let mut net = reliable();
+    let src = "pushcl 16\nsleep\nhalt";
+    let a = net.inject_source(src).unwrap();
+    let b = net.inject_source_at(Location::new(1, 1), src).unwrap();
+    let code = |id| net.agent_state(id).expect("resident").code().as_ptr();
+    assert_eq!(code(a), code(b), "one assembly, one allocation");
+}
+
+#[test]
 fn blocking_in_wakes_on_remote_insertion() {
     let mut net = reliable();
     // Consumer on (2,1) blocks on <value>; producer on (1,1) routs one over.

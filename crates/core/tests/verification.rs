@@ -81,8 +81,7 @@ fn repeated_arrivals_get_the_first_arrivals_verdict() {
             matches!(err, AgillaError::Unverifiable { pc: 0, .. }),
             "{err}"
         );
-        let code = agilla_vm::asm::assemble("add\nhalt").unwrap().into_code();
-        let err = net.inject_at(net.base(), code).unwrap_err();
+        let err = net.inject_source("add\nhalt").unwrap_err();
         assert!(matches!(err, AgillaError::Unverifiable { .. }), "{err}");
     }
     // The same program fills the base station's four slots, each copy with

@@ -188,31 +188,29 @@ fn quantize(v: f64) -> i16 {
     v.round().clamp(f64::from(i16::MIN), f64::from(i16::MAX)) as i16
 }
 
-/// A scenario's complete motion assignment: which motes move, how, and how
-/// often positions are re-evaluated.
+/// A scenario's complete motion assignment: which motes move, and how.
+/// Moving motes re-evaluate their position every
+/// [`MotionPlan::DEFAULT_TICK`].
 ///
 /// The default plan is empty and [`MotionPlan::is_static`]: attaching it to
 /// a trial schedules nothing and changes no output byte — the inertness
 /// contract every pre-mobility figure relies on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MotionPlan {
-    /// How often moving motes re-evaluate their position. Every tick is one
-    /// node-owned event per moving mote; static motes never tick.
-    pub tick: SimDuration,
     /// `(boot origin, model)` per moving mote. The origin doubles as the
     /// address the mote must occupy in the scenario's topology.
     pub entries: Vec<(Location, Motion)>,
 }
 
 impl MotionPlan {
-    /// The default position re-evaluation period: 250 ms, fine enough that
-    /// a 1-unit/s vehicle advances in quarter-cell steps.
+    /// The position re-evaluation period: 250 ms, fine enough that a
+    /// 1-unit/s vehicle advances in quarter-cell steps. Every tick is one
+    /// node-owned event per moving mote; static motes never tick.
     pub const DEFAULT_TICK: SimDuration = SimDuration::from_micros(250_000);
 
     /// An empty (fully static) plan.
     pub fn new() -> Self {
         MotionPlan {
-            tick: Self::DEFAULT_TICK,
             entries: Vec::new(),
         }
     }
@@ -223,13 +221,6 @@ impl MotionPlan {
         if !motion.is_static() {
             self.entries.push((origin, motion));
         }
-        self
-    }
-
-    /// Sets the position re-evaluation tick (builder style).
-    pub fn with_tick(mut self, tick: SimDuration) -> Self {
-        assert!(tick.as_micros() > 0, "motion tick must be positive");
-        self.tick = tick;
         self
     }
 
@@ -348,16 +339,5 @@ mod tests {
         assert_eq!(plan.entries.len(), 1);
         assert!(!plan.is_static());
         assert!(MotionPlan::default().is_static());
-        assert_eq!(
-            MotionPlan::new().with_tick(secs(1)).tick,
-            secs(1),
-            "tick is configurable"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_tick_rejected() {
-        let _ = MotionPlan::new().with_tick(SimDuration::from_micros(0));
     }
 }

@@ -61,11 +61,6 @@ impl RngStream {
         self.rng.gen()
     }
 
-    /// Uniform draw in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        self.rng.gen::<f64>()
-    }
-
     /// Bernoulli draw with probability `p` (clamped to `[0,1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {

@@ -3,10 +3,10 @@
 //! The ledger is the single source of truth for what every application is
 //! using on every mote. All mutation goes through `charge_*` /
 //! `release_*` pairs with checked arithmetic: a charge that would exceed
-//! the app's [`AppQuota`](crate::AppQuota) fails (and changes nothing),
-//! and a release of more than is held fails rather than wrapping — so an
-//! eviction frees exactly what was charged, and accounting bugs surface
-//! as errors instead of silent drift.
+//! the app's [`AppQuota`] fails (and changes nothing), and a release of
+//! more than is held fails rather than wrapping — so an eviction frees
+//! exactly what was charged, and accounting bugs surface as errors instead
+//! of silent drift.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -83,8 +83,11 @@ pub struct QuotaLedger {
 
 impl QuotaLedger {
     /// Creates an empty ledger.
-    pub fn new() -> Self {
-        QuotaLedger::default()
+    pub const fn new() -> Self {
+        QuotaLedger {
+            quotas: BTreeMap::new(),
+            usage: BTreeMap::new(),
+        }
     }
 
     /// Registers (or replaces) an app's quota.
@@ -100,19 +103,6 @@ impl QuotaLedger {
     /// Current usage of `app` on mote `node` (zero if nothing charged).
     pub fn usage(&self, app: AppId, node: u32) -> Usage {
         self.usage.get(&(app, node)).copied().unwrap_or_default()
-    }
-
-    /// Total usage of `app` summed over every mote.
-    pub fn app_usage(&self, app: AppId) -> Usage {
-        let mut total = Usage::default();
-        for ((a, _), u) in &self.usage {
-            if *a == app {
-                total.slots += u.slots;
-                total.bytes += u.bytes;
-                total.instructions += u.instructions;
-            }
-        }
-        total
     }
 
     fn quota_of(&self, app: AppId) -> Result<AppQuota, QuotaError> {

@@ -87,11 +87,6 @@ impl TupleSpace {
         }
     }
 
-    /// The arena discipline in use.
-    pub fn arena_kind(&self) -> ArenaKind {
-        self.kind
-    }
-
     /// The configured byte budget.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -96,20 +96,22 @@ impl AgentState {
     ///
     /// [`VmError::CodeTooLarge`] if the code exceeds
     /// [`DEFAULT_CODE_BUDGET`] bytes.
-    pub fn with_code(id: AgentId, code: Vec<u8>) -> Result<AgentState, VmError> {
+    pub fn with_code(id: AgentId, code: impl Into<Arc<[u8]>>) -> Result<AgentState, VmError> {
         Self::with_code_budget(id, code, DEFAULT_CODE_BUDGET)
     }
 
-    /// Creates an agent with an explicit instruction-memory budget.
+    /// Creates an agent with an explicit instruction-memory budget. Code
+    /// passed as an `Arc` is shared, not copied.
     ///
     /// # Errors
     ///
     /// [`VmError::CodeTooLarge`] if the code exceeds `budget` bytes.
     pub fn with_code_budget(
         id: AgentId,
-        code: Vec<u8>,
+        code: impl Into<Arc<[u8]>>,
         budget: usize,
     ) -> Result<AgentState, VmError> {
+        let code = code.into();
         if code.len() > budget {
             return Err(VmError::CodeTooLarge {
                 size: code.len(),
@@ -123,7 +125,7 @@ impl AgentState {
             depth: 0,
             stack: [STALE; STACK_DEPTH],
             heap: Default::default(),
-            code: code.into(),
+            code,
             verified: false,
         })
     }
@@ -174,6 +176,11 @@ impl AgentState {
     /// The agent's bytecode.
     pub fn code(&self) -> &[u8] {
         &self.code
+    }
+
+    /// The agent's bytecode as a shared handle: cloning it copies no bytes.
+    pub fn shared_code(&self) -> Arc<[u8]> {
+        Arc::clone(&self.code)
     }
 
     /// Current operand-stack contents, bottom first.
@@ -398,7 +405,7 @@ impl AgentState {
     ///
     /// [`VmError::Tuple`] wrapping decode errors for malformed images, or
     /// [`VmError::CodeTooLarge`] if the code exceeds the budget.
-    pub fn decode_state(bytes: &[u8], code: Vec<u8>) -> Result<AgentState, VmError> {
+    pub fn decode_state(bytes: &[u8], code: impl Into<Arc<[u8]>>) -> Result<AgentState, VmError> {
         fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], VmError> {
             if b.len() < n {
                 return Err(VmError::Tuple(TupleSpaceError::Decode("truncated state")));
@@ -407,6 +414,7 @@ impl AgentState {
             *b = tail;
             Ok(head)
         }
+        let code = code.into();
         let mut b = bytes;
         let id = AgentId(u16::from_le_bytes(take(&mut b, 2)?.try_into().unwrap()));
         let pc = u16::from_le_bytes(take(&mut b, 2)?.try_into().unwrap());

@@ -228,7 +228,7 @@ fn mate_and_agilla_share_the_radio_substrate() {
         Environment::ambient(),
         1,
     );
-    let id = net.inject_at(NodeId(0), vec![0x00]).unwrap(); // halt
+    let id = net.inject_source("halt").unwrap();
     net.run_for(SimDuration::from_secs(1));
     assert!(net.log().halted_at(id).is_some());
 }
@@ -252,14 +252,7 @@ fn agents_survive_partitions_and_heal() {
         Environment::ambient(),
         8,
     );
-    let id = net
-        .inject_at(
-            NodeId(0),
-            agilla_suite::vm::asm::assemble("pushloc 3 1\nsmove\nhalt")
-                .unwrap()
-                .into_code(),
-        )
-        .unwrap();
+    let id = net.inject_source("pushloc 3 1\nsmove\nhalt").unwrap();
     net.run_for(SimDuration::from_secs(5));
     assert!(
         net.log().arrived(id, NodeId(2)),
