@@ -141,15 +141,15 @@ impl Json {
 }
 
 /// Writes `value` to `BENCH_<family>.json` in the current directory (one
-/// trailing newline), returning the path. Benchmark binaries call this
-/// after printing their tables; a failure is reported by the caller, not
-/// fatal — the stdout tables remain the primary output.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_artifact(family: &str, value: &Json) -> std::io::Result<PathBuf> {
-    write_artifact_in(std::path::Path::new("."), family, value)
+/// trailing newline) and reports the outcome on stderr, as
+/// `<family>: wrote <path>` or `<family>: artifact not written: <err>`.
+/// Benchmark binaries call this after printing their tables; a failure is
+/// not fatal — the stdout tables remain the primary output.
+pub fn write_artifact(family: &str, value: &Json) {
+    match write_artifact_in(std::path::Path::new("."), family, value) {
+        Ok(path) => eprintln!("{family}: wrote {}", path.display()),
+        Err(e) => eprintln!("{family}: artifact not written: {e}"),
+    }
 }
 
 /// [`write_artifact`] into an explicit directory (testable without touching

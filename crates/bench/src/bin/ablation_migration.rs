@@ -17,34 +17,10 @@
 //! byte-identical at any thread count.
 
 use agilla::scenario::OneShot;
-use agilla::{workload, AgillaConfig, ScenarioSpec, Testbed};
+use agilla::{workload, AgillaConfig, Testbed};
 use agilla_bench::{BenchArgs, Table, TrialExecutor};
 use wsn_common::Location;
 use wsn_sim::SimDuration;
-
-/// The scenario grid: for both protocol variants and every hop count,
-/// `trials` one-way smove injections on the lossy 5×5 testbed.
-fn scenarios(trials: u32) -> Vec<(bool, i16, ScenarioSpec)> {
-    let mut items = Vec::new();
-    for &hop_by_hop in &[true, false] {
-        let config = AgillaConfig {
-            hop_by_hop_migration: hop_by_hop,
-            ..AgillaConfig::default()
-        };
-        let bed = Testbed::lossy_5x5(config, 0xAB1);
-        for hops in 1..=5i16 {
-            let target = Location::new(hops, 1);
-            for t in 0..trials {
-                let spec = bed
-                    .scenario(u64::from(t) * 40_503 + hops as u64)
-                    .traffic(OneShot::at_base(workload::one_way_agent("smove", target)))
-                    .horizon(SimDuration::from_secs(20));
-                items.push((hop_by_hop, hops, spec));
-            }
-        }
-    }
-    items
-}
 
 fn main() {
     let args = BenchArgs::parse();
@@ -53,30 +29,37 @@ fn main() {
         "Ablation — migration protocol: hop-by-hop acks vs end-to-end ({trials} trials/hop)\n"
     );
     let mut engine = TrialExecutor::new(args.threads);
-    let items = scenarios(trials);
-    let arrived: Vec<bool> = engine.run(&items, |(_, hops, spec)| {
-        let trial = spec.execute();
-        let target = trial
-            .net
-            .node_at(Location::new(*hops, 1))
-            .expect("target exists");
+    // The grid: both protocol variants (hop-by-hop first) at every hop
+    // count, `trials` one-way smove injections per point on the lossy 5×5
+    // testbed.
+    let beds = [true, false].map(|hop_by_hop| {
+        let config = AgillaConfig {
+            hop_by_hop_migration: hop_by_hop,
+            ..AgillaConfig::default()
+        };
+        Testbed::lossy_5x5(config, 0xAB1)
+    });
+    let points: Vec<(&Testbed, i16)> = beds
+        .iter()
+        .flat_map(|bed| (1..=5i16).map(move |hops| (bed, hops)))
+        .collect();
+    let arrived = engine.sweep(&points, trials, |_, &(bed, hops), t| {
+        let target = Location::new(hops, 1);
+        let trial = bed
+            .scenario(u64::from(t) * 40_503 + hops as u64)
+            .traffic(OneShot::at_base(workload::one_way_agent("smove", target)))
+            .horizon(SimDuration::from_secs(20))
+            .execute();
+        let target = trial.net.node_at(target).expect("target exists");
         trial.net.log().arrived(trial.agent(0), target)
     });
-
-    let rate = |protocol: bool, hops: i16| {
-        let ok = items
-            .iter()
-            .zip(&arrived)
-            .filter(|((p, h, _), ok)| *p == protocol && *h == hops && **ok)
-            .count();
-        ok as f64 / f64::from(trials)
-    };
+    let rate = |point: &[bool]| point.iter().filter(|&&ok| ok).count() as f64 / f64::from(trials);
+    let (hop_by_hop, end_to_end) = arrived.split_at(5);
 
     let mut t = Table::new(vec!["hops", "hop-by-hop %", "end-to-end %"]);
     let mut crossover = false;
-    for hops in 1..=5i16 {
-        let hbh = rate(true, hops);
-        let e2e = rate(false, hops);
+    for (hops, (hbh, e2e)) in (1..=5i16).zip(hop_by_hop.iter().zip(end_to_end)) {
+        let (hbh, e2e) = (rate(hbh), rate(e2e));
         if hops >= 3 && hbh > e2e + 0.10 {
             crossover = true;
         }

@@ -93,8 +93,5 @@ fn main() {
             ),
         ),
     ]);
-    match agilla_bench::write_artifact("all_figures", &artifact) {
-        Ok(path) => eprintln!("all_figures: wrote {}", path.display()),
-        Err(e) => eprintln!("all_figures: artifact not written: {e}"),
-    }
+    agilla_bench::write_artifact("all_figures", &artifact);
 }

@@ -19,9 +19,7 @@ fn main() {
     println!("Figure 10 — latency of smove vs rout ({trials} trials/hop)\n");
     let config = AgillaConfig::default();
     let mut engine = TrialExecutor::new(args.threads);
-    let t0 = std::time::Instant::now();
-    let rows = fig9_fig10(trials, 0xF10, &config, args.threads);
-    engine.note(10 * trials as usize, t0.elapsed());
+    let rows = fig9_fig10(trials, 0xF10, &config, &mut engine);
 
     let mut t = Table::new(vec![
         "hops",
@@ -74,9 +72,6 @@ fn main() {
             ),
         ),
     ]);
-    match agilla_bench::write_artifact("fig10", &artifact) {
-        Ok(path) => eprintln!("fig10: wrote {}", path.display()),
-        Err(e) => eprintln!("fig10: artifact not written: {e}"),
-    }
+    agilla_bench::write_artifact("fig10", &artifact);
     engine.report("fig10");
 }

@@ -19,9 +19,7 @@ fn main() {
     println!("Figure 11 — one-hop latency of remote operations ({trials} trials)\n");
     let config = AgillaConfig::default();
     let mut engine = TrialExecutor::new(args.threads);
-    let t0 = std::time::Instant::now();
-    let rows = fig11_one_hop(trials, 0xF11, &config, args.threads);
-    engine.note(7 * trials as usize, t0.elapsed());
+    let rows = fig11_one_hop(trials, 0xF11, &config, &mut engine);
 
     let mut t = Table::new(vec!["op", "mean ms", "sd ms", "paper ms", "n"]);
     for r in &rows {
@@ -71,9 +69,6 @@ fn main() {
             ),
         ),
     ]);
-    match agilla_bench::write_artifact("fig11", &artifact) {
-        Ok(path) => eprintln!("fig11: wrote {}", path.display()),
-        Err(e) => eprintln!("fig11: artifact not written: {e}"),
-    }
+    agilla_bench::write_artifact("fig11", &artifact);
     engine.report("fig11");
 }

@@ -13,13 +13,13 @@
 //! (wall timings included unless suppressed) lands in the working
 //! directory.
 
-use agilla_bench::{fig12_local_ops_opts, BenchArgs, Json, Table};
+use agilla_bench::{fig12_local_ops, BenchArgs, Json, Table};
 
 fn main() {
     let args = BenchArgs::parse();
     let reps = args.trials_or(2_000);
     println!("Figure 12 — local instruction latency ({reps} repetitions)\n");
-    let rows = fig12_local_ops_opts(reps, !args.no_wall);
+    let rows = fig12_local_ops(reps, !args.no_wall);
 
     // The paper's three classes: ~75 µs, ~150 µs, ~292 µs.
     let mut t = Table::new(vec![
@@ -70,8 +70,5 @@ fn main() {
             ),
         ),
     ]);
-    match agilla_bench::write_artifact("fig12", &artifact) {
-        Ok(path) => eprintln!("fig12: wrote {}", path.display()),
-        Err(e) => eprintln!("fig12: artifact not written: {e}"),
-    }
+    agilla_bench::write_artifact("fig12", &artifact);
 }

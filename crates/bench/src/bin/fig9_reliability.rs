@@ -19,9 +19,7 @@ fn main() {
     println!("Figure 9 — reliability of smove vs rout ({trials} trials/hop)\n");
     let config = AgillaConfig::default();
     let mut engine = TrialExecutor::new(args.threads);
-    let t0 = std::time::Instant::now();
-    let rows = fig9_fig10(trials, 0xF19, &config, args.threads);
-    engine.note(10 * trials as usize, t0.elapsed());
+    let rows = fig9_fig10(trials, 0xF19, &config, &mut engine);
 
     let mut t = Table::new(vec![
         "hops",
@@ -84,9 +82,6 @@ fn main() {
             ),
         ),
     ]);
-    match agilla_bench::write_artifact("fig9", &artifact) {
-        Ok(path) => eprintln!("fig9: wrote {}", path.display()),
-        Err(e) => eprintln!("fig9: artifact not written: {e}"),
-    }
+    agilla_bench::write_artifact("fig9", &artifact);
     engine.report("fig9");
 }

@@ -36,9 +36,7 @@ fn main() {
 
     // --- 1. joules per operation ---------------------------------------
     println!("fig_energy — joules per operation ({trials} trials, 1 hop, quiet link)\n");
-    let t0 = std::time::Instant::now();
-    let rows = fig_energy_per_op(trials, 0xE0, args.threads);
-    engine.note(trials as usize, t0.elapsed());
+    let rows = fig_energy_per_op(trials, 0xE0, &mut engine);
     let mut t = Table::new(vec!["op", "total mJ", "radio mJ", "cpu mJ", "n"]);
     for r in &rows {
         t.row(vec![
@@ -66,9 +64,7 @@ fn main() {
         "fig_energy — network lifetime vs LPL check interval \
          ({battery} J/mote, 26 motes, beacons @1 Hz, horizon {horizon} s)\n"
     );
-    let t0 = std::time::Instant::now();
-    let rows = fig_energy_lifetime(&intervals, battery, horizon, 0xE1, args.threads);
-    engine.note(intervals.len(), t0.elapsed());
+    let rows = fig_energy_lifetime(&intervals, battery, horizon, 0xE1, &mut engine);
     let mut t = Table::new(vec![
         "LPL interval",
         "first death s",
@@ -115,9 +111,7 @@ fn main() {
         "fig_energy — fire-tracking under depletion ({battery} J/mote, \
          mains-powered base, fire at t=30 s, hop_failover on)\n"
     );
-    let t0 = std::time::Instant::now();
     let samples = fig_energy_agents_alive(battery, horizon, step, 0xE2);
-    engine.note(1, t0.elapsed());
     let mut t = Table::new(vec!["t s", "nodes alive", "agents alive", "deaths"]);
     for s in &samples {
         t.row(vec![
@@ -193,9 +187,6 @@ fn main() {
             ),
         ),
     ]);
-    match agilla_bench::write_artifact("fig_energy", &artifact) {
-        Ok(path) => eprintln!("fig_energy: wrote {}", path.display()),
-        Err(e) => eprintln!("fig_energy: artifact not written: {e}"),
-    }
+    agilla_bench::write_artifact("fig_energy", &artifact);
     engine.report("fig_energy");
 }

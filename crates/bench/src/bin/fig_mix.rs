@@ -28,9 +28,7 @@ fn main() {
     );
     let config = AgillaConfig::default();
     let mut engine = TrialExecutor::new(args.threads);
-    let t0 = std::time::Instant::now();
-    let rows = fig_mix(trials, 0xF1A, &config, args.threads);
-    engine.note(4 * trials as usize, t0.elapsed());
+    let rows = fig_mix(trials, 0xF1A, &config, &mut engine);
 
     let mut t = Table::new(vec![
         "rate /s",
@@ -72,9 +70,7 @@ fn main() {
         "\nLoss ramp — channel degraded mid-run at t = 20 s ({trials} trials/level, \
          0.5 agents/s)\n"
     );
-    let t1 = std::time::Instant::now();
-    let ramp = fig_mix_loss_ramp(trials, 0xF1A, &config, args.threads);
-    engine.note(4 * trials as usize, t1.elapsed());
+    let ramp = fig_mix_loss_ramp(trials, 0xF1A, &config, &mut engine);
 
     let mut lt = Table::new(vec![
         "loss after 20 s",
@@ -148,9 +144,6 @@ fn main() {
             ),
         ),
     ]);
-    match agilla_bench::write_artifact("fig_mix", &artifact) {
-        Ok(path) => eprintln!("fig_mix: wrote {}", path.display()),
-        Err(e) => eprintln!("fig_mix: artifact not written: {e}"),
-    }
+    agilla_bench::write_artifact("fig_mix", &artifact);
     engine.report("fig_mix");
 }

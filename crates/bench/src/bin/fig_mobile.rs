@@ -36,9 +36,7 @@ fn main() {
 
     // Vehicle crossing: delivery decays with speed.
     println!("Vehicle crossing — six position reports while driving over a 5-mote field\n");
-    let t0 = std::time::Instant::now();
-    let crossing = fig_mobile_crossing(trials, 0xB0B1, &config, args.threads);
-    engine.note(3 * trials as usize, t0.elapsed());
+    let crossing = fig_mobile_crossing(trials, 0xB0B1, &config, &mut engine);
     let mut ct = Table::new(vec![
         "speed u/s",
         "reports",
@@ -70,9 +68,7 @@ fn main() {
 
     // Mobile relay: a partition heals when the relay parks in the gap.
     println!("\nMobile relay — closed-loop round trips into a partitioned far cluster\n");
-    let t1 = std::time::Instant::now();
-    let relay = fig_mobile_relay(trials, 0xB0B1, &config, args.threads);
-    engine.note(3 * trials as usize, t1.elapsed());
+    let relay = fig_mobile_relay(trials, 0xB0B1, &config, &mut engine);
     let mut rt = Table::new(vec![
         "relay u/s",
         "bridge at",
@@ -107,9 +103,7 @@ fn main() {
 
     // Fire front: the case-study fire moves; the response window tracks it.
     println!("\nFire front — spreading fire, static detectors, an orbiting sentinel\n");
-    let t2 = std::time::Instant::now();
-    let fire = fig_mobile_fire(trials, 0xB0B1, &config, args.threads);
-    engine.note(2 * trials as usize, t2.elapsed());
+    let fire = fig_mobile_fire(trials, 0xB0B1, &config, &mut engine);
     let mut ft = Table::new(vec![
         "spread u/s",
         "first alert",
@@ -196,9 +190,6 @@ fn main() {
             ),
         ),
     ]);
-    match agilla_bench::write_artifact("fig_mobile", &artifact) {
-        Ok(path) => eprintln!("fig_mobile: wrote {}", path.display()),
-        Err(e) => eprintln!("fig_mobile: artifact not written: {e}"),
-    }
+    agilla_bench::write_artifact("fig_mobile", &artifact);
     engine.report("fig_mobile");
 }

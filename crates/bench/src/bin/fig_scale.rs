@@ -39,9 +39,7 @@ fn main() {
          1 Hz beacons + smove/rout at base)\n"
     );
     let mut engine = TrialExecutor::new(args.threads);
-    let t0 = std::time::Instant::now();
-    let rows = fig_scale(sizes, trials, sim_s, 0x5CA1E, args.threads, !args.no_wall);
-    engine.note(sizes.len() * trials as usize, t0.elapsed());
+    let rows = fig_scale(sizes, trials, sim_s, 0x5CA1E, &mut engine, !args.no_wall);
 
     let mut headers = vec![
         "motes",
@@ -110,10 +108,7 @@ fn main() {
             peak_kib.map_or(Json::Null, |kib| Json::int(kib * 1024 / big.motes as u64)),
         ),
     ]);
-    match agilla_bench::write_artifact("fig_scale", &artifact) {
-        Ok(path) => eprintln!("fig_scale: wrote {}", path.display()),
-        Err(e) => eprintln!("fig_scale: artifact not written: {e}"),
-    }
+    agilla_bench::write_artifact("fig_scale", &artifact);
 }
 
 /// The process's peak resident set size (`VmHWM` in `/proc/self/status`),

@@ -33,10 +33,8 @@ fn main() {
          fire (high, burst from 10 s) : bulk (normal, refused by the allocator)\n"
     );
     let mut engine = TrialExecutor::new(args.threads);
-    let t0 = std::time::Instant::now();
     let config = AgillaConfig::default();
-    let rows = fig_tenancy(trials, 0x7E4A, &config, args.threads);
-    engine.note(trials as usize, t0.elapsed());
+    let rows = fig_tenancy(trials, 0x7E4A, &config, &mut engine);
 
     let fmt_ms = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |ms| format!("<={ms}"));
     let mut t = Table::new(vec![
@@ -101,9 +99,6 @@ fn main() {
             ),
         ),
     ]);
-    match agilla_bench::write_artifact("fig_tenancy", &artifact) {
-        Ok(path) => eprintln!("fig_tenancy: wrote {}", path.display()),
-        Err(e) => eprintln!("fig_tenancy: artifact not written: {e}"),
-    }
+    agilla_bench::write_artifact("fig_tenancy", &artifact);
     engine.report("fig_tenancy");
 }

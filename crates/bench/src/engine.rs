@@ -1,17 +1,18 @@
 //! The SimEngine trial executor: fan independent trials across worker
 //! threads, deterministically.
 //!
-//! Every paper figure is a batch of independent `(seed, spec)` trials whose
-//! outcome is a pure function of the spec (see `agilla::testbed`). That
-//! makes the executor trivial to keep byte-identical to the serial path:
-//! workers pull trial *indices* from a shared atomic counter, run each
-//! trial in isolation on their own thread, and the batch reassembles
-//! results **by index** — so downstream folds see exactly the order a
-//! serial loop would have produced, no matter how the OS scheduled the
-//! workers. Metrics follow the same rule: each trial accumulates into its
-//! own registry (thread-local by construction), and callers fold the
-//! per-trial results in order (`wsn_sim::Metrics::merge`), so there is no
-//! cross-thread contention and no ordering sensitivity.
+//! Every paper figure is a sweep of independent `(seed, spec)` trials over
+//! a few points (hop counts, rates, speeds), and a trial's outcome is a
+//! pure function of its spec (see `agilla::testbed`). That makes the
+//! executor trivial to keep byte-identical to the serial path: workers
+//! pull trial *indices* from a shared atomic counter, run each trial in
+//! isolation on their own thread, and the batch reassembles results **by
+//! index** — so downstream folds see exactly the order a serial loop
+//! would have produced, no matter how the OS scheduled the workers. Each
+//! trial reads what its figure needs from its own network on its worker
+//! (counters, log records, histograms), and the figure folds those values
+//! point by point in trial order, so there is no cross-thread contention
+//! and no ordering sensitivity.
 //!
 //! `std::thread::scope` keeps the workers borrow-friendly and vendored-dep
 //! free (no rayon in the offline container).
@@ -28,7 +29,7 @@ use std::time::{Duration, Instant};
 /// # Panics
 ///
 /// Propagates a panic from any trial.
-pub fn run_trials_parallel<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+fn run_trials_parallel<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -71,9 +72,10 @@ where
         .collect()
 }
 
-/// Wraps [`run_trials_parallel`] with wall-clock accounting, so figure
-/// binaries can report engine throughput (`trials_per_sec`) without
-/// touching their measured stdout output — the report goes to stderr.
+/// Fans trial batches across a worker budget and keeps wall-clock
+/// accounting, so figure binaries can report engine throughput
+/// (`trials_per_sec`) without touching their measured stdout output — the
+/// report goes to stderr.
 #[derive(Debug)]
 pub struct TrialExecutor {
     threads: usize,
@@ -97,7 +99,9 @@ impl TrialExecutor {
         self.threads
     }
 
-    /// Runs a batch, adding its trials and wall time to the totals.
+    /// Runs `f` over every item (one trial each) and returns the results
+    /// in item order, adding the batch's trials and wall time to the
+    /// totals.
     pub fn run<T, R, F>(&mut self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -111,12 +115,27 @@ impl TrialExecutor {
         out
     }
 
-    /// Records a batch that ran outside [`TrialExecutor::run`] (harness
-    /// functions that take a thread count directly), so its throughput
-    /// still lands in the report.
-    pub fn note(&mut self, trials: usize, wall: Duration) {
-        self.trials += trials;
-        self.wall += wall;
+    /// Runs `trials` trials at every point as one batch and returns each
+    /// point's results in trial order: `out[i][t]` is `trial(i, &points[i],
+    /// t)`, where `trial` builds and executes trial `t` at point `i` and
+    /// returns what the figure reads from it. Every trial counts toward
+    /// [`TrialExecutor::trials`].
+    pub fn sweep<P, R, F>(&mut self, points: &[P], trials: u32, trial: F) -> Vec<Vec<R>>
+    where
+        P: Sync,
+        R: Send,
+        F: Fn(usize, &P, u32) -> R + Sync,
+    {
+        let cells: Vec<(usize, u32)> = (0..points.len())
+            .flat_map(|i| (0..trials).map(move |t| (i, t)))
+            .collect();
+        let mut flat = self
+            .run(&cells, |&(i, t)| trial(i, &points[i], t))
+            .into_iter();
+        points
+            .iter()
+            .map(|_| flat.by_ref().take(trials as usize).collect())
+            .collect()
     }
 
     /// Trials completed across every batch so far.
@@ -124,7 +143,7 @@ impl TrialExecutor {
         self.trials
     }
 
-    /// Wall clock spent inside [`TrialExecutor::run`] so far.
+    /// Wall clock spent running batches so far.
     pub fn wall(&self) -> Duration {
         self.wall
     }
@@ -179,6 +198,28 @@ mod tests {
     fn empty_batch_is_fine() {
         let out: Vec<u64> = run_trials_parallel(&[] as &[u64], 4, |x| *x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn sweep_groups_by_point_in_trial_order_and_counts_every_trial() {
+        // Uneven work: early cells sleep longest, so late cells finish
+        // first whenever more than one worker runs.
+        let points = [10u64, 20, 30, 40, 50];
+        let trials = 6u32;
+        let expected: Vec<Vec<u64>> = points
+            .iter()
+            .map(|p| (0..trials).map(|t| p + u64::from(t)).collect())
+            .collect();
+        for threads in [1, 2, 4, 7] {
+            let mut ex = TrialExecutor::new(threads);
+            let out = ex.sweep(&points, trials, |i, &p, t| {
+                let cell = i as u64 * u64::from(trials) + u64::from(t);
+                std::thread::sleep(Duration::from_micros(100 * (30 - cell)));
+                p + u64::from(t)
+            });
+            assert_eq!(out, expected, "threads = {threads}");
+            assert_eq!(ex.trials(), points.len() * trials as usize);
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Trial runners for the paper's experiments, built on the SimEngine:
-//! every figure describes its trials as a table of
-//! `agilla::scenario::ScenarioSpec`s — substrate + seed + traffic +
-//! scheduled events — and fans them across
-//! [`crate::engine::run_trials_parallel`] workers. Results are merged in
-//! spec order, so any thread count produces byte-identical figures (a
-//! tier-1 test asserts exactly that), and because a scenario compiles to
-//! the same `TrialSpec` step script the figures always ran, the port from
+//! every figure is a [`TrialExecutor::sweep`] over a few points (hop
+//! counts, rates, speeds), whose trial builds one
+//! `agilla::scenario::ScenarioSpec` — substrate + seed + traffic +
+//! scheduled events — executes it, and returns what the figure reads from
+//! it. Each point's results come back in trial order and fold into one
+//! row, so any thread count produces byte-identical figures (a tier-1
+//! test asserts exactly that), and because a scenario compiles to the
+//! same `TrialSpec` step script the figures always ran, the port from
 //! hand-written step scripts changed no output byte.
 
 use agilla::scenario::{
@@ -14,16 +15,16 @@ use agilla::scenario::{
 use agilla::workload;
 use agilla::{
     AgillaConfig, AgillaNetwork, AppId, AppProfile, AppQuota, DistanceLoss, EnergyConfig,
-    Environment, FireModel, Motion, Priority, TenantApp, Testbed, TopologySpec,
+    Environment, FireModel, Motion, Priority, TenantApp, Testbed, TopologySpec, Trial,
 };
 use agilla_vm::exec::{run_to_effect, StepResult, TestHost};
 use agilla_vm::isa::Opcode;
 use agilla_vm::{asm, AgentState};
 use wsn_common::{AgentId, Location};
 use wsn_radio::{Connectivity, EnergyBreakdown, EnergyState, LossModel, Topology};
-use wsn_sim::{LatencyRecorder, Metrics, SimDuration, SimTime};
+use wsn_sim::{Histogram, LatencyRecorder, SimDuration, SimTime};
 
-use crate::engine::run_trials_parallel;
+use crate::engine::TrialExecutor;
 
 /// Results for one hop count in the Fig. 9/10 experiments.
 #[derive(Debug, Clone)]
@@ -50,19 +51,19 @@ pub struct HopResult {
     pub rout_reacks: u64,
 }
 
-/// What one Fig. 9/10 trial measured, extracted on the worker thread:
-/// the per-trial verdict plus the trial's whole metrics registry (moved
-/// out, not cloned), which the fold merges in spec order.
+/// What one Fig. 9/10 trial measured, extracted on the worker thread.
 #[derive(Debug)]
 struct Fig9Outcome {
     ok: bool,
     retransmitted: bool,
     latency: Option<SimDuration>,
-    metrics: Metrics,
+    /// `remote.retx` and `remote.reack` (zero for smove trials).
+    retx: u64,
+    reacks: u64,
 }
 
 fn run_smove_trial(spec: &ScenarioSpec, target: Location) -> Fig9Outcome {
-    let mut trial = spec.execute();
+    let trial = spec.execute();
     let net = &trial.net;
     let id = trial.agent(0);
     let target_node = net.node_at(target).expect("target exists");
@@ -82,17 +83,17 @@ fn run_smove_trial(spec: &ScenarioSpec, target: Location) -> Fig9Outcome {
     } else {
         None
     };
-    let ok = reached && returned;
     Fig9Outcome {
-        ok,
+        ok: reached && returned,
         retransmitted: false,
         latency,
-        metrics: trial.net.take_metrics(),
+        retx: 0,
+        reacks: 0,
     }
 }
 
 fn run_rout_trial(spec: &ScenarioSpec) -> Fig9Outcome {
-    let mut trial = spec.execute();
+    let trial = spec.execute();
     let net = &trial.net;
     let id = trial.agent(0);
     let ops = net.log().remote_ops_of(id);
@@ -113,13 +114,14 @@ fn run_rout_trial(spec: &ScenarioSpec) -> Fig9Outcome {
         ok,
         retransmitted,
         latency,
-        metrics: trial.net.take_metrics(),
+        retx: net.metrics().counter("remote.retx"),
+        reacks: net.metrics().counter("remote.reack"),
     }
 }
 
 /// Runs the paper's Fig. 8 test agents `trials` times per hop count on the
 /// lossy 5×5 testbed, reproducing Figs. 9 and 10, fanning independent
-/// trials across `threads` workers.
+/// trials across the executor's workers.
 ///
 /// The protocol follows Section 4: agents are injected at the base station;
 /// the smove agent moves to `(h,1)` and back (results halved "to account for
@@ -128,51 +130,38 @@ pub fn fig9_fig10(
     trials: u32,
     base_seed: u64,
     config: &AgillaConfig,
-    threads: usize,
+    engine: &mut TrialExecutor,
 ) -> Vec<HopResult> {
     const RUN: SimDuration = SimDuration::from_micros(20_000_000);
     let bed = Testbed::lossy_5x5(config.clone(), base_seed);
-    // One flat batch covering every (hop, op, trial); workers pull from it
-    // freely, and results come back in this exact order.
-    let mut items: Vec<(i16, bool, ScenarioSpec)> = Vec::new();
-    for h in 1..=5i16 {
+    // Two points per hop count: smove, then rout.
+    let points: Vec<(i16, bool)> = (1..=5i16).flat_map(|h| [(h, true), (h, false)]).collect();
+    let outcomes = engine.sweep(&points, trials, |_, &(h, smove), t| {
         let target = Location::new(h, 1);
-        let home = Location::new(0, 1);
-        for t in 0..trials {
+        if smove {
+            let home = Location::new(0, 1);
             let spec = bed
                 .scenario(u64::from(t) * 65_537 + h as u64)
                 .traffic(OneShot::at_base(workload::smove_test_agent(target, home)))
                 .horizon(RUN);
-            items.push((h, true, spec));
-        }
-        for t in 0..trials {
+            run_smove_trial(&spec, target)
+        } else {
             let spec = bed
                 .scenario(u64::from(t) * 131_071 + 7 * h as u64 + 3)
                 .traffic(OneShot::at_base(workload::rout_test_agent(target)))
                 .horizon(RUN);
-            items.push((h, false, spec));
-        }
-    }
-    let outcomes = run_trials_parallel(&items, threads, |(h, is_smove, spec)| {
-        if *is_smove {
-            run_smove_trial(spec, Location::new(*h, 1))
-        } else {
-            run_rout_trial(spec)
+            run_rout_trial(&spec)
         }
     });
 
-    (1..=5i16)
-        .map(|h| {
-            let per_hop = |smove: bool| {
-                items
-                    .iter()
-                    .zip(&outcomes)
-                    .filter(move |((ih, s, _), _)| *ih == h && *s == smove)
-                    .map(|(_, o)| o)
-            };
+    outcomes
+        .chunks(2)
+        .zip(1..=5u32)
+        .map(|(pair, h)| {
+            let (smoves, routs) = (&pair[0], &pair[1]);
             let mut round_trip_failures = 0u32;
             let mut smove_lat = LatencyRecorder::new();
-            for o in per_hop(true) {
+            for o in smoves {
                 match o.latency {
                     Some(d) if o.ok => smove_lat.record(d),
                     _ => round_trip_failures += 1,
@@ -182,12 +171,8 @@ pub fn fig9_fig10(
             let smove_success = 1.0 - (f64::from(round_trip_failures) / 2.0) / f64::from(trials);
 
             let mut rout_ok = 0u32;
-            // Per-trial metrics accumulated on each worker fold here in
-            // spec order — deterministic regardless of thread scheduling.
-            let mut rout_metrics = Metrics::new();
             let mut rout_lat = LatencyRecorder::new();
-            for o in per_hop(false) {
-                rout_metrics.merge(&o.metrics);
+            for o in routs {
                 if o.ok {
                     rout_ok += 1;
                     if !o.retransmitted {
@@ -197,19 +182,17 @@ pub fn fig9_fig10(
                     }
                 }
             }
-            let rout_retx = rout_metrics.counter("remote.retx");
-            let rout_reacks = rout_metrics.counter("remote.reack");
 
             HopResult {
-                hops: h as u32,
+                hops: h,
                 smove_success: smove_success.clamp(0.0, 1.0),
                 smove_latency_ms: smove_lat.mean().as_micros() as f64 / 1e3,
                 smove_latency_sd_ms: smove_lat.stddev().as_micros() as f64 / 1e3,
                 rout_success: f64::from(rout_ok) / f64::from(trials),
                 rout_latency_ms: rout_lat.mean().as_micros() as f64 / 1e3,
                 rout_latency_sd_ms: rout_lat.stddev().as_micros() as f64 / 1e3,
-                rout_retx,
-                rout_reacks,
+                rout_retx: total(routs, |o| o.retx),
+                rout_reacks: total(routs, |o| o.reacks),
             }
         })
         .collect()
@@ -344,32 +327,25 @@ fn fig11_latency(op: RemoteOpKind, spec: &ScenarioSpec) -> Option<SimDuration> {
 
 /// Measures the one-hop latency of every remote operation (Fig. 11):
 /// `trials` runs each on the lossless testbed (the paper's bars measure
-/// execution time, not loss), fanned across `threads` workers.
+/// execution time, not loss), fanned across the executor's workers.
 pub fn fig11_one_hop(
     trials: u32,
     base_seed: u64,
     config: &AgillaConfig,
-    threads: usize,
+    engine: &mut TrialExecutor,
 ) -> Vec<Fig11Row> {
     let bed = Testbed::reliable_5x5(config.clone(), base_seed);
-    let mut items: Vec<(RemoteOpKind, ScenarioSpec)> = Vec::new();
-    for (op_idx, &op) in RemoteOpKind::ALL.iter().enumerate() {
-        for t in 0..trials {
-            items.push((op, fig11_spec(&bed, op, op_idx, t)));
-        }
-    }
-    let latencies = run_trials_parallel(&items, threads, |(op, spec)| fig11_latency(*op, spec));
+    let latencies = engine.sweep(&RemoteOpKind::ALL, trials, |op_idx, &op, t| {
+        fig11_latency(op, &fig11_spec(&bed, op, op_idx, t))
+    });
 
     RemoteOpKind::ALL
         .iter()
-        .map(|&op| {
+        .zip(&latencies)
+        .map(|(&op, op_latencies)| {
             let mut lat = LatencyRecorder::new();
-            for ((iop, _), l) in items.iter().zip(&latencies) {
-                if *iop == op {
-                    if let Some(d) = l {
-                        lat.record(*d);
-                    }
-                }
+            for &d in op_latencies.iter().flatten() {
+                lat.record(d);
             }
             Fig11Row {
                 op,
@@ -453,7 +429,7 @@ fn fig12_programs() -> Vec<(&'static str, Opcode, String)> {
 /// analogue of the paper timing its mote interpreter. Wall timing is
 /// inherently serial (parallel workers would contend for the core and skew
 /// it) and is skipped entirely when `measure_wall` is false.
-pub fn fig12_local_ops_opts(reps: u32, measure_wall: bool) -> Vec<Fig12Row> {
+pub fn fig12_local_ops(reps: u32, measure_wall: bool) -> Vec<Fig12Row> {
     fig12_programs()
         .into_iter()
         .map(|(name, op, snippet)| {
@@ -504,11 +480,6 @@ pub fn fig12_local_ops_opts(reps: u32, measure_wall: bool) -> Vec<Fig12Row> {
             }
         })
         .collect()
-}
-
-/// [`fig12_local_ops_opts`] with wall timing on (the historical behavior).
-pub fn fig12_local_ops(reps: u32) -> Vec<Fig12Row> {
-    fig12_local_ops_opts(reps, true)
 }
 
 // --- fig_energy: the energy & lifetime benchmark family ---------------------
@@ -571,8 +542,12 @@ fn energy_ops(target: Location) -> [(&'static str, String); 4] {
 /// jitter across the boundary and drown a ~2 mJ operation in ±1-beacon
 /// noise); the median over trials guards whatever residue remains. One
 /// worker handles a whole trial (control + all four ops share its seed), so
-/// trials parallelize freely across `threads`.
-pub fn fig_energy_per_op(trials: u32, base_seed: u64, threads: usize) -> Vec<EnergyOpRow> {
+/// trials parallelize freely across the executor's workers.
+pub fn fig_energy_per_op(
+    trials: u32,
+    base_seed: u64,
+    engine: &mut TrialExecutor,
+) -> Vec<EnergyOpRow> {
     const RUN: SimDuration = SimDuration::from_micros(10_000_000);
     let target = Location::new(2, 1);
     let config = AgillaConfig {
@@ -586,7 +561,7 @@ pub fn fig_energy_per_op(trials: u32, base_seed: u64, threads: usize) -> Vec<Ene
     // Per trial: for each op, the (total, radio, cpu) mJ deltas over the
     // shared-seed control run — or `None` when the op did not complete.
     type OpDeltas = [Option<(f64, f64, f64)>; 4];
-    let per_trial: Vec<OpDeltas> = run_trials_parallel(&trial_indices, threads, |&t| {
+    let per_trial: Vec<OpDeltas> = engine.run(&trial_indices, |&t| {
         let mix = u64::from(t) * 514_229 + 1;
         // Control: the same network idling for the same duration. Meters
         // integrate idle drain lazily (on events), so bring every meter up
@@ -692,15 +667,16 @@ pub struct LifetimeRow {
 /// with beacons running, for up to `horizon_s` simulated seconds. Short
 /// intervals cut idle listening ~40×; long intervals make every beacon pay a
 /// preamble longer than its payload — the B-MAC optimum sits in between.
-/// Each interval's run is independent, so the sweep fans across `threads`.
+/// Each interval's run is independent, so the sweep fans across the
+/// executor's workers.
 pub fn fig_energy_lifetime(
     intervals_ms: &[Option<u64>],
     battery_j: f64,
     horizon_s: u64,
     seed: u64,
-    threads: usize,
+    engine: &mut TrialExecutor,
 ) -> Vec<LifetimeRow> {
-    run_trials_parallel(intervals_ms, threads, |&interval| {
+    engine.run(intervals_ms, |&interval| {
         let energy = match interval {
             None => EnergyConfig::with_battery(battery_j),
             Some(ms) => EnergyConfig::with_lpl(battery_j, SimDuration::from_millis(ms)),
@@ -825,15 +801,55 @@ pub struct MixRow {
     pub frames_per_trial: f64,
 }
 
-/// What one fig_mix trial measured, extracted on the worker thread.
+/// What one fig_mix or loss-ramp trial measured, extracted on the worker
+/// thread.
 #[derive(Debug)]
 struct MixOutcome {
     injected: u64,
     rejected: u64,
+    /// `migration.arrived`.
+    migrations: u64,
+    /// `migration.retx`.
+    mig_retx: u64,
     remote_ok: u64,
     halted: u64,
+    /// Protocol frames (beacons excluded).
     frames: u64,
-    metrics: Metrics,
+}
+
+impl MixOutcome {
+    fn of(trial: &Trial) -> Self {
+        let net = &trial.net;
+        let m = net.metrics();
+        let mut remote_ok = 0u64;
+        let mut halted = 0u64;
+        for rec in net.log().records() {
+            match rec {
+                agilla::stats::OpRecord::RemoteCompleted { success: true, .. } => remote_ok += 1,
+                agilla::stats::OpRecord::AgentHalted { .. } => halted += 1,
+                _ => {}
+            }
+        }
+        MixOutcome {
+            injected: trial.agents.len() as u64,
+            rejected: u64::from(trial.rejected.total()),
+            migrations: m.counter("migration.arrived"),
+            mig_retx: m.counter("migration.retx"),
+            remote_ok,
+            halted,
+            frames: protocol_frames(net),
+        }
+    }
+}
+
+/// Frames a trial transmitted, beacons excluded.
+fn protocol_frames(net: &AgillaNetwork) -> u64 {
+    net.metrics().counter("radio.frames_sent") - net.metrics().counter("radio.beacons")
+}
+
+/// Sums one count over a point's trials.
+fn total<O>(outcomes: &[O], count: impl Fn(&O) -> u64) -> u64 {
+    outcomes.iter().map(count).sum()
 }
 
 /// Builds one fig_mix scenario: a Poisson multi-application mix — smove
@@ -872,71 +888,30 @@ fn fig_mix_scenario(bed: &Testbed, rate_per_s: f64, seed_mix: u64) -> ScenarioSp
 
 /// Runs the multi-application mix sweep (fig_mix): for each arrival rate,
 /// `trials` independent 60 s scenarios on the lossy testbed, fanned across
-/// `threads` workers and folded in spec order.
-pub fn fig_mix(trials: u32, base_seed: u64, config: &AgillaConfig, threads: usize) -> Vec<MixRow> {
+/// the executor's workers and summed in trial order.
+pub fn fig_mix(
+    trials: u32,
+    base_seed: u64,
+    config: &AgillaConfig,
+    engine: &mut TrialExecutor,
+) -> Vec<MixRow> {
     const RATES: [f64; 4] = [0.2, 0.5, 1.0, 2.0];
     let bed = Testbed::lossy_5x5(config.clone(), base_seed);
-    let mut items: Vec<(usize, ScenarioSpec)> = Vec::new();
-    for (r, &rate) in RATES.iter().enumerate() {
-        for t in 0..trials {
-            let spec = fig_mix_scenario(&bed, rate, u64::from(t) * 524_287 + r as u64 * 31);
-            items.push((r, spec));
-        }
-    }
-    let outcomes = run_trials_parallel(&items, threads, |(_, spec)| {
-        let mut trial = spec.execute();
-        let net = &trial.net;
-        let mut remote_ok = 0u64;
-        let mut halted = 0u64;
-        for rec in net.log().records() {
-            match rec {
-                agilla::stats::OpRecord::RemoteCompleted { success: true, .. } => remote_ok += 1,
-                agilla::stats::OpRecord::AgentHalted { .. } => halted += 1,
-                _ => {}
-            }
-        }
-        let frames =
-            net.metrics().counter("radio.frames_sent") - net.metrics().counter("radio.beacons");
-        MixOutcome {
-            injected: trial.agents.len() as u64,
-            rejected: u64::from(trial.rejected.total()),
-            remote_ok,
-            halted,
-            frames,
-            metrics: trial.net.take_metrics(),
-        }
+    let outcomes = engine.sweep(&RATES, trials, |r, &rate, t| {
+        let seed_mix = u64::from(t) * 524_287 + r as u64 * 31;
+        MixOutcome::of(&fig_mix_scenario(&bed, rate, seed_mix).execute())
     });
-
     RATES
         .iter()
-        .enumerate()
-        .map(|(r, &rate)| {
-            let mut row = MixRow {
-                rate_per_s: rate,
-                injected: 0,
-                rejected: 0,
-                migrations: 0,
-                remote_ok: 0,
-                halted: 0,
-                frames_per_trial: 0.0,
-            };
-            // Fold in spec order — deterministic at any thread count.
-            let mut fold = Metrics::new();
-            let mut frames = 0u64;
-            for ((ir, _), o) in items.iter().zip(&outcomes) {
-                if *ir != r {
-                    continue;
-                }
-                fold.merge(&o.metrics);
-                row.injected += o.injected;
-                row.rejected += o.rejected;
-                row.remote_ok += o.remote_ok;
-                row.halted += o.halted;
-                frames += o.frames;
-            }
-            row.migrations = fold.counter("migration.arrived");
-            row.frames_per_trial = frames as f64 / f64::from(trials.max(1));
-            row
+        .zip(&outcomes)
+        .map(|(&rate, o)| MixRow {
+            rate_per_s: rate,
+            injected: total(o, |o| o.injected),
+            rejected: total(o, |o| o.rejected),
+            migrations: total(o, |o| o.migrations),
+            remote_ok: total(o, |o| o.remote_ok),
+            halted: total(o, |o| o.halted),
+            frames_per_trial: total(o, |o| o.frames) as f64 / f64::from(trials.max(1)),
         })
         .collect()
 }
@@ -974,74 +949,33 @@ pub fn fig_mix_loss_ramp(
     trials: u32,
     base_seed: u64,
     config: &AgillaConfig,
-    threads: usize,
+    engine: &mut TrialExecutor,
 ) -> Vec<LossRampRow> {
     const LOSSES: [f64; 4] = [0.0, 0.1, 0.25, 0.5];
     const RATE: f64 = 0.5;
     let bed = Testbed::lossy_5x5(config.clone(), base_seed);
-    let mut items: Vec<(usize, ScenarioSpec)> = Vec::new();
-    for (l, &loss) in LOSSES.iter().enumerate() {
-        for t in 0..trials {
-            // Same seed schedule for every loss level: the rows differ only
-            // in the channel the perturbation installs.
-            let mut spec = fig_mix_scenario(&bed, RATE, u64::from(t) * 524_287);
-            if loss > 0.0 {
-                spec = spec.event(
-                    SimDuration::from_micros(20_000_000),
-                    Perturbation::SetLoss(LossModel::uniform(loss)),
-                );
-            }
-            items.push((l, spec));
+    let outcomes = engine.sweep(&LOSSES, trials, |_, &loss, t| {
+        // Same seed schedule for every loss level: the rows differ only in
+        // the channel the perturbation installs.
+        let mut spec = fig_mix_scenario(&bed, RATE, u64::from(t) * 524_287);
+        if loss > 0.0 {
+            spec = spec.event(
+                SimDuration::from_micros(20_000_000),
+                Perturbation::SetLoss(LossModel::uniform(loss)),
+            );
         }
-    }
-    let outcomes = run_trials_parallel(&items, threads, |(_, spec)| {
-        let mut trial = spec.execute();
-        let net = &trial.net;
-        let mut remote_ok = 0u64;
-        let mut halted = 0u64;
-        for rec in net.log().records() {
-            match rec {
-                agilla::stats::OpRecord::RemoteCompleted { success: true, .. } => remote_ok += 1,
-                agilla::stats::OpRecord::AgentHalted { .. } => halted += 1,
-                _ => {}
-            }
-        }
-        MixOutcome {
-            injected: trial.agents.len() as u64,
-            rejected: u64::from(trial.rejected.total()),
-            remote_ok,
-            halted,
-            frames: 0,
-            metrics: trial.net.take_metrics(),
-        }
+        MixOutcome::of(&spec.execute())
     });
-
     LOSSES
         .iter()
-        .enumerate()
-        .map(|(l, &loss)| {
-            let mut row = LossRampRow {
-                loss,
-                injected: 0,
-                migrations: 0,
-                remote_ok: 0,
-                halted: 0,
-                mig_retx: 0,
-            };
-            // Fold in spec order — deterministic at any thread count.
-            let mut fold = Metrics::new();
-            for ((il, _), o) in items.iter().zip(&outcomes) {
-                if *il != l {
-                    continue;
-                }
-                fold.merge(&o.metrics);
-                row.injected += o.injected;
-                row.remote_ok += o.remote_ok;
-                row.halted += o.halted;
-            }
-            row.migrations = fold.counter("migration.arrived");
-            row.mig_retx = fold.counter("migration.retx");
-            row
+        .zip(&outcomes)
+        .map(|(&loss, o)| LossRampRow {
+            loss,
+            injected: total(o, |o| o.injected),
+            migrations: total(o, |o| o.migrations),
+            remote_ok: total(o, |o| o.remote_ok),
+            halted: total(o, |o| o.halted),
+            mig_retx: total(o, |o| o.mig_retx),
         })
         .collect()
 }
@@ -1134,44 +1068,54 @@ fn fig_tenancy_scenario(bed: &Testbed, seed_mix: u64) -> ScenarioSpec {
 
 /// Runs the multi-tenancy SLO experiment (fig_tenancy): `trials`
 /// independent 30 s four-app scenarios on the lossy testbed, fanned
-/// across `threads` workers, folded into one row per application.
+/// across the executor's workers, folded into one row per application.
 /// Counters sum across trials; latency histograms merge, so the
 /// percentiles describe the whole population.
 pub fn fig_tenancy(
     trials: u32,
     base_seed: u64,
     config: &AgillaConfig,
-    threads: usize,
+    engine: &mut TrialExecutor,
 ) -> Vec<TenancyRow> {
+    const COUNTERS: [&str; 4] = ["injected", "rejected", "evicted", "completed"];
     let bed = Testbed::lossy_5x5(config.clone(), base_seed);
-    let items: Vec<ScenarioSpec> = (0..trials)
-        .map(|t| fig_tenancy_scenario(&bed, u64::from(t) * 524_287))
-        .collect();
-    let outcomes = run_trials_parallel(&items, threads, |spec| {
-        let mut trial = spec.execute();
-        trial.net.take_metrics()
-    });
-    // Fold in spec order — deterministic at any thread count.
-    let mut fold = Metrics::new();
-    for m in &outcomes {
-        fold.merge(m);
-    }
+    // One point: every trial runs the same four apps. Each trial reports,
+    // per app, its counters and its latency histogram.
+    let per_trial = engine
+        .sweep(&[()], trials, |_, _, t| {
+            let trial = fig_tenancy_scenario(&bed, u64::from(t) * 524_287).execute();
+            let m = trial.net.metrics();
+            TENANCY_APPS.map(|(id, ..)| {
+                let id = AppId(id);
+                let counts = COUNTERS.map(|k| m.counter(&format!("tenancy.{id}.{k}")));
+                let latency = m.histogram(&format!("tenancy.{id}.latency_ms"));
+                (counts, latency.cloned().unwrap_or_default())
+            })
+        })
+        .remove(0);
     TENANCY_APPS
         .iter()
-        .map(|&(id, name, priority)| {
-            let id = AppId(id);
-            let c = |k: &str| fold.counter(&format!("tenancy.{id}.{k}"));
-            let h = fold.histogram(&format!("tenancy.{id}.latency_ms"));
+        .enumerate()
+        .map(|(a, &(id, name, priority))| {
+            let mut counts = [0u64; 4];
+            let mut latency = Histogram::new();
+            for (trial_counts, trial_latency) in per_trial.iter().map(|apps| &apps[a]) {
+                for (sum, n) in counts.iter_mut().zip(trial_counts) {
+                    *sum += n;
+                }
+                latency.merge(trial_latency);
+            }
+            let [admitted, rejected, evicted, completed] = counts;
             TenancyRow {
-                app: format!("{id} {name}"),
+                app: format!("{} {name}", AppId(id)),
                 priority,
-                admitted: c("injected"),
-                rejected: c("rejected"),
-                evicted: c("evicted"),
-                completed: c("completed"),
-                p50_ms: h.and_then(|h| h.percentile(0.50)),
-                p95_ms: h.and_then(|h| h.percentile(0.95)),
-                p99_ms: h.and_then(|h| h.percentile(0.99)),
+                admitted,
+                rejected,
+                evicted,
+                completed,
+                p50_ms: latency.percentile(0.50),
+                p95_ms: latency.percentile(0.95),
+                p99_ms: latency.percentile(0.99),
             }
         })
         .collect()
@@ -1246,27 +1190,20 @@ pub fn fig_mobile_crossing(
     trials: u32,
     base_seed: u64,
     config: &AgillaConfig,
-    threads: usize,
+    engine: &mut TrialExecutor,
 ) -> Vec<CrossingRow> {
     const SPEEDS: [f64; 3] = [0.25, 0.5, 1.0];
     let bed = crossing_testbed(config, base_seed);
-    let mut items: Vec<(usize, ScenarioSpec)> = Vec::new();
-    for (s, &speed) in SPEEDS.iter().enumerate() {
-        for t in 0..trials {
-            let spec =
-                fig_mobile_crossing_scenario(&bed, speed, u64::from(t) * 524_287 + s as u64 * 97);
-            items.push((s, spec));
-        }
-    }
     struct CrossingOutcome {
         reports: u64,
         landed: u64,
         acked: u64,
+        moves: u64,
         frames: u64,
-        metrics: Metrics,
     }
-    let outcomes = run_trials_parallel(&items, threads, |(_, spec)| {
-        let mut trial = spec.execute();
+    let outcomes = engine.sweep(&SPEEDS, trials, |s, &speed, t| {
+        let seed_mix = u64::from(t) * 524_287 + s as u64 * 97;
+        let trial = fig_mobile_crossing_scenario(&bed, speed, seed_mix).execute();
         let net = &trial.net;
         let id = trial.agent(0);
         let ops = net.log().remote_ops_of(id);
@@ -1281,44 +1218,24 @@ pub fn fig_mobile_crossing(
             .iter()
             .filter(|t| t.fields().contains(&veh))
             .count() as u64;
-        let frames =
-            net.metrics().counter("radio.frames_sent") - net.metrics().counter("radio.beacons");
         CrossingOutcome {
             reports: ops.len() as u64,
             landed,
             acked,
-            frames,
-            metrics: trial.net.take_metrics(),
+            moves: net.metrics().counter("motion.moves"),
+            frames: protocol_frames(net),
         }
     });
     SPEEDS
         .iter()
-        .enumerate()
-        .map(|(s, &speed)| {
-            let mut row = CrossingRow {
-                speed,
-                reports: 0,
-                landed: 0,
-                acked: 0,
-                moves: 0,
-                frames_per_trial: 0.0,
-            };
-            // Fold in spec order — deterministic at any thread count.
-            let mut fold = Metrics::new();
-            let mut frames = 0u64;
-            for ((is, _), o) in items.iter().zip(&outcomes) {
-                if *is != s {
-                    continue;
-                }
-                fold.merge(&o.metrics);
-                row.reports += o.reports;
-                row.landed += o.landed;
-                row.acked += o.acked;
-                frames += o.frames;
-            }
-            row.moves = fold.counter("motion.moves");
-            row.frames_per_trial = frames as f64 / f64::from(trials.max(1));
-            row
+        .zip(&outcomes)
+        .map(|(&speed, o)| CrossingRow {
+            speed,
+            reports: total(o, |o| o.reports),
+            landed: total(o, |o| o.landed),
+            acked: total(o, |o| o.acked),
+            moves: total(o, |o| o.moves),
+            frames_per_trial: total(o, |o| o.frames) as f64 / f64::from(trials.max(1)),
         })
         .collect()
 }
@@ -1400,18 +1317,10 @@ pub fn fig_mobile_relay(
     trials: u32,
     base_seed: u64,
     config: &AgillaConfig,
-    threads: usize,
+    engine: &mut TrialExecutor,
 ) -> Vec<RelayRow> {
     const SPEEDS: [f64; 3] = [0.0, 0.5, 1.0];
     let bed = relay_testbed(config, base_seed);
-    let mut items: Vec<(usize, ScenarioSpec)> = Vec::new();
-    for (s, &speed) in SPEEDS.iter().enumerate() {
-        for t in 0..trials {
-            let spec =
-                fig_mobile_relay_scenario(&bed, speed, u64::from(t) * 524_287 + s as u64 * 131);
-            items.push((s, spec));
-        }
-    }
     let bridge_s =
         |speed: f64| -> Option<f64> { (speed > 0.0).then(|| RELAY_BRIDGE_UNITS / speed) };
     struct RelayOutcome {
@@ -1420,11 +1329,12 @@ pub fn fig_mobile_relay(
         after: u64,
         round_trips: u64,
     }
-    let outcomes = run_trials_parallel(&items, threads, |(s, spec)| {
-        let trial = spec.execute();
+    let outcomes = engine.sweep(&SPEEDS, trials, |s, &speed, t| {
+        let seed_mix = u64::from(t) * 524_287 + s as u64 * 131;
+        let trial = fig_mobile_relay_scenario(&bed, speed, seed_mix).execute();
         let net = &trial.net;
         let far = net.node_at(Location::new(5, 1)).expect("far mote");
-        let split = bridge_s(SPEEDS[*s]).unwrap_or(f64::INFINITY);
+        let split = bridge_s(speed).unwrap_or(f64::INFINITY);
         let mut before = 0u64;
         let mut after = 0u64;
         let mut far_agents: Vec<AgentId> = Vec::new();
@@ -1457,26 +1367,14 @@ pub fn fig_mobile_relay(
     });
     SPEEDS
         .iter()
-        .enumerate()
-        .map(|(s, &speed)| {
-            let mut row = RelayRow {
-                relay_speed: speed,
-                bridge_s: bridge_s(speed),
-                issued: 0,
-                far_arrivals_before: 0,
-                far_arrivals_after: 0,
-                round_trips: 0,
-            };
-            for ((is, _), o) in items.iter().zip(&outcomes) {
-                if *is != s {
-                    continue;
-                }
-                row.issued += o.issued;
-                row.far_arrivals_before += o.before;
-                row.far_arrivals_after += o.after;
-                row.round_trips += o.round_trips;
-            }
-            row
+        .zip(&outcomes)
+        .map(|(&speed, o)| RelayRow {
+            relay_speed: speed,
+            bridge_s: bridge_s(speed),
+            issued: total(o, |o| o.issued),
+            far_arrivals_before: total(o, |o| o.before),
+            far_arrivals_after: total(o, |o| o.after),
+            round_trips: total(o, |o| o.round_trips),
         })
         .collect()
 }
@@ -1559,26 +1457,19 @@ pub fn fig_mobile_fire(
     trials: u32,
     base_seed: u64,
     config: &AgillaConfig,
-    threads: usize,
+    engine: &mut TrialExecutor,
 ) -> Vec<FireFrontRow> {
     const SPREADS: [f64; 2] = [0.2, 0.4];
     let bed = fire_testbed(config, base_seed);
-    let mut items: Vec<(usize, ScenarioSpec)> = Vec::new();
-    for (s, &spread) in SPREADS.iter().enumerate() {
-        for t in 0..trials {
-            let spec =
-                fig_mobile_fire_scenario(&bed, spread, u64::from(t) * 524_287 + s as u64 * 193);
-            items.push((s, spec));
-        }
-    }
     struct FireOutcome {
         first_alert_s: Option<f64>,
         alerts_ok: u64,
         tracker_arrivals: u64,
-        metrics: Metrics,
+        moves: u64,
     }
-    let outcomes = run_trials_parallel(&items, threads, |(_, spec)| {
-        let mut trial = spec.execute();
+    let outcomes = engine.sweep(&SPREADS, trials, |s, &spread, t| {
+        let seed_mix = u64::from(t) * 524_287 + s as u64 * 193;
+        let trial = fig_mobile_fire_scenario(&bed, spread, seed_mix).execute();
         let net = &trial.net;
         let mut first_alert_s = None;
         let mut alerts_ok = 0u64;
@@ -1601,41 +1492,22 @@ pub fn fig_mobile_fire(
             first_alert_s,
             alerts_ok,
             tracker_arrivals,
-            metrics: trial.net.take_metrics(),
+            moves: net.metrics().counter("motion.moves"),
         }
     });
     SPREADS
         .iter()
-        .enumerate()
-        .map(|(s, &spread)| {
-            let mut row = FireFrontRow {
+        .zip(&outcomes)
+        .map(|(&spread, o)| {
+            let alerts: Vec<f64> = o.iter().filter_map(|o| o.first_alert_s).collect();
+            FireFrontRow {
                 spread_per_sec: spread,
-                first_alert_s: None,
-                alerts_ok: 0,
-                tracker_arrivals: 0,
-                moves: 0,
-            };
-            // Fold in spec order — deterministic at any thread count.
-            let mut fold = Metrics::new();
-            let mut alert_sum = 0.0;
-            let mut alert_n = 0u32;
-            for ((is, _), o) in items.iter().zip(&outcomes) {
-                if *is != s {
-                    continue;
-                }
-                fold.merge(&o.metrics);
-                row.alerts_ok += o.alerts_ok;
-                row.tracker_arrivals += o.tracker_arrivals;
-                if let Some(t) = o.first_alert_s {
-                    alert_sum += t;
-                    alert_n += 1;
-                }
+                first_alert_s: (!alerts.is_empty())
+                    .then(|| alerts.iter().sum::<f64>() / alerts.len() as f64),
+                alerts_ok: total(o, |o| o.alerts_ok),
+                tracker_arrivals: total(o, |o| o.tracker_arrivals),
+                moves: total(o, |o| o.moves),
             }
-            if alert_n > 0 {
-                row.first_alert_s = Some(alert_sum / f64::from(alert_n));
-            }
-            row.moves = fold.counter("motion.moves");
-            row
         })
         .collect()
 }
@@ -1646,7 +1518,7 @@ mod tests {
 
     #[test]
     fn fig12_snippets_assemble_and_run() {
-        let rows = fig12_local_ops(2);
+        let rows = fig12_local_ops(2, true);
         assert_eq!(rows.len(), 18, "all Fig. 12 instructions present");
         for r in &rows {
             assert!(r.model_us >= 50, "{}: {}", r.name, r.model_us);
@@ -1656,14 +1528,14 @@ mod tests {
 
     #[test]
     fn fig12_no_wall_skips_timing() {
-        let rows = fig12_local_ops_opts(2, false);
+        let rows = fig12_local_ops(2, false);
         assert!(rows.iter().all(|r| r.wall_ns.is_none()));
         assert_eq!(rows.len(), 18);
     }
 
     #[test]
     fn fig12_classes_ordered() {
-        let rows = fig12_local_ops(2);
+        let rows = fig12_local_ops(2, true);
         let get = |n: &str| rows.iter().find(|r| r.name == n).unwrap().model_us;
         assert!(get("loc") < get("pushn"));
         assert!(get("pushn") < get("out"));
@@ -1672,7 +1544,7 @@ mod tests {
 
     #[test]
     fn fig11_runs_with_tiny_trials() {
-        let rows = fig11_one_hop(2, 5, &AgillaConfig::default(), 1);
+        let rows = fig11_one_hop(2, 5, &AgillaConfig::default(), &mut TrialExecutor::new(1));
         assert_eq!(rows.len(), 7);
         for r in &rows {
             assert!(r.samples > 0, "{} produced no samples", r.op.name());
@@ -1694,7 +1566,7 @@ mod tests {
 
     #[test]
     fn fig9_runs_with_tiny_trials() {
-        let rows = fig9_fig10(3, 42, &AgillaConfig::default(), 1);
+        let rows = fig9_fig10(3, 42, &AgillaConfig::default(), &mut TrialExecutor::new(1));
         assert_eq!(rows.len(), 5);
         assert!(rows[0].smove_success > 0.5);
         assert!(rows[0].rout_success > 0.5);
@@ -1702,7 +1574,7 @@ mod tests {
 
     #[test]
     fn fig_energy_per_op_migrations_cost_more_than_tuple_ops() {
-        let rows = fig_energy_per_op(2, 99, 1);
+        let rows = fig_energy_per_op(2, 99, &mut TrialExecutor::new(1));
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.samples > 0, "{} never completed", r.op);
@@ -1725,7 +1597,8 @@ mod tests {
 
     #[test]
     fn fig_energy_lifetime_lpl_beats_always_on() {
-        let rows = fig_energy_lifetime(&[None, Some(100)], 0.4, 400, 17, 1);
+        let rows =
+            fig_energy_lifetime(&[None, Some(100)], 0.4, 400, 17, &mut TrialExecutor::new(1));
         assert_eq!(rows.len(), 2);
         let on = rows[0].first_death_s.expect("always-on dies fast");
         assert!(rows[0].deaths > 0);
@@ -1739,7 +1612,12 @@ mod tests {
 
     #[test]
     fn fig_mix_load_grows_with_rate() {
-        let rows = fig_mix(2, 0xA11, &AgillaConfig::default(), 1);
+        let rows = fig_mix(
+            2,
+            0xA11,
+            &AgillaConfig::default(),
+            &mut TrialExecutor::new(1),
+        );
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.injected > 0, "rate {} injected nothing", r.rate_per_s);
@@ -1755,7 +1633,12 @@ mod tests {
 
     #[test]
     fn fig_tenancy_enforces_quotas_allocation_and_preemption() {
-        let rows = fig_tenancy(2, 0xF1A, &AgillaConfig::default(), 1);
+        let rows = fig_tenancy(
+            2,
+            0xF1A,
+            &AgillaConfig::default(),
+            &mut TrialExecutor::new(1),
+        );
         assert_eq!(rows.len(), 4);
         let get = |name: &str| {
             rows.iter()
@@ -1780,13 +1663,6 @@ mod tests {
             assert!(r.completed > 0, "{r:?}");
             assert!(r.p50_ms.is_some() && r.p99_ms >= r.p50_ms, "{r:?}");
         }
-    }
-
-    #[test]
-    fn fig_tenancy_identical_across_threads() {
-        let serial = fig_tenancy(2, 7, &AgillaConfig::default(), 1);
-        let threaded = fig_tenancy(2, 7, &AgillaConfig::default(), 4);
-        assert_eq!(serial, threaded);
     }
 
     #[test]
@@ -1825,7 +1701,12 @@ mod tests {
 
     #[test]
     fn fig_mobile_crossing_delivery_decays_with_speed() {
-        let rows = fig_mobile_crossing(2, 0x30B, &AgillaConfig::default(), 1);
+        let rows = fig_mobile_crossing(
+            2,
+            0x30B,
+            &AgillaConfig::default(),
+            &mut TrialExecutor::new(1),
+        );
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.reports > 0, "{} u/s issued no reports", r.speed);
@@ -1845,7 +1726,12 @@ mod tests {
 
     #[test]
     fn fig_mobile_relay_bridges_the_partition() {
-        let rows = fig_mobile_relay(2, 0x30B, &AgillaConfig::default(), 1);
+        let rows = fig_mobile_relay(
+            2,
+            0x30B,
+            &AgillaConfig::default(),
+            &mut TrialExecutor::new(1),
+        );
         assert_eq!(rows.len(), 3);
         let (control, slow, fast) = (&rows[0], &rows[1], &rows[2]);
         // The static control never reaches the far cluster.
@@ -1871,7 +1757,12 @@ mod tests {
 
     #[test]
     fn fig_mobile_fire_front_reaches_detectors_and_trackers_respond() {
-        let rows = fig_mobile_fire(2, 0x30B, &AgillaConfig::default(), 1);
+        let rows = fig_mobile_fire(
+            2,
+            0x30B,
+            &AgillaConfig::default(),
+            &mut TrialExecutor::new(1),
+        );
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.alerts_ok > 0, "{r:?}");
@@ -1881,19 +1772,6 @@ mod tests {
         }
         // A faster front reaches the detectors sooner.
         assert!(rows[1].first_alert_s < rows[0].first_alert_s, "{rows:?}");
-    }
-
-    #[test]
-    fn fig_mobile_identical_across_threads() {
-        let config = AgillaConfig::default();
-        let run = |threads: usize| {
-            (
-                fig_mobile_crossing(2, 9, &config, threads),
-                fig_mobile_relay(2, 9, &config, threads),
-                fig_mobile_fire(1, 9, &config, threads),
-            )
-        };
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

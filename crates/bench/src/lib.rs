@@ -19,13 +19,12 @@ pub mod scale;
 
 pub use artifact::{write_artifact, Json};
 pub use cli::BenchArgs;
-pub use engine::{run_trials_parallel, TrialExecutor};
+pub use engine::TrialExecutor;
 pub use harness::{
-    fig11_one_hop, fig12_local_ops, fig12_local_ops_opts, fig9_fig10, fig_energy_agents_alive,
-    fig_energy_lifetime, fig_energy_per_op, fig_mix, fig_mix_loss_ramp, fig_mobile_crossing,
-    fig_mobile_fire, fig_mobile_relay, fig_tenancy, AliveSample, CrossingRow, EnergyOpRow,
-    Fig11Row, Fig12Row, FireFrontRow, HopResult, LifetimeRow, LossRampRow, MixRow, RelayRow,
-    RemoteOpKind, TenancyRow,
+    fig11_one_hop, fig12_local_ops, fig9_fig10, fig_energy_agents_alive, fig_energy_lifetime,
+    fig_energy_per_op, fig_mix, fig_mix_loss_ramp, fig_mobile_crossing, fig_mobile_fire,
+    fig_mobile_relay, fig_tenancy, AliveSample, CrossingRow, EnergyOpRow, Fig11Row, Fig12Row,
+    FireFrontRow, HopResult, LifetimeRow, LossRampRow, MixRow, RelayRow, RemoteOpKind, TenancyRow,
 };
 pub use report::Table;
 pub use scale::{fig_scale, ScaleRow};

@@ -17,7 +17,7 @@ use wsn_common::Location;
 use wsn_radio::{LossModel, Topology};
 use wsn_sim::SimDuration;
 
-use crate::engine::run_trials_parallel;
+use crate::engine::TrialExecutor;
 
 /// Mote counts swept by default (32² and 100² grids). The 100k-mote row
 /// is opted into with [`FULL_SIZES`]; CI runs it too, under a memory
@@ -91,31 +91,31 @@ struct ScaleOutcome {
 
 /// Runs the scale sweep: for each mote count in `sizes`, `trials`
 /// independent lossless-grid scenarios of `sim_s` simulated seconds,
-/// fanned across `threads` workers and folded in spec order. `measure_wall`
-/// gates the sim-per-wall-second rate (per-trial CPU time, so thread
-/// fan-out does not inflate it).
+/// fanned across the executor's workers and summed in trial order.
+/// `measure_wall` gates the sim-per-wall-second rate (per-trial CPU time,
+/// so thread fan-out does not inflate it).
 pub fn fig_scale(
     sizes: &[usize],
     trials: u32,
     sim_s: u64,
     base_seed: u64,
-    threads: usize,
+    engine: &mut TrialExecutor,
     measure_wall: bool,
 ) -> Vec<ScaleRow> {
-    let mut items: Vec<(usize, i16, ScenarioSpec)> = Vec::new();
-    for (s, &motes) in sizes.iter().enumerate() {
-        let side = (motes as f64).sqrt().floor() as i16;
-        let bed = Testbed::new(
-            TopologySpec::custom(Topology::grid(side, side), LossModel::perfect()),
-            AgillaConfig::default(),
-            base_seed,
-        );
-        for t in 0..trials {
-            let spec = fig_scale_scenario(&bed, sim_s, u64::from(t) * 786_433 + s as u64 * 97);
-            items.push((s, side, spec));
-        }
-    }
-    let outcomes = run_trials_parallel(&items, threads, |(_, _, spec)| {
+    // One testbed per size, shared by that size's trials.
+    let beds: Vec<(i16, Testbed)> = sizes
+        .iter()
+        .map(|&motes| {
+            let side = (motes as f64).sqrt().floor() as i16;
+            let topology = TopologySpec::custom(Topology::grid(side, side), LossModel::perfect());
+            (
+                side,
+                Testbed::new(topology, AgillaConfig::default(), base_seed),
+            )
+        })
+        .collect();
+    let outcomes = engine.sweep(&beds, trials, |s, (_, bed), t| {
+        let spec = fig_scale_scenario(bed, sim_s, u64::from(t) * 786_433 + s as u64 * 97);
         let start = std::time::Instant::now();
         let trial = spec.execute();
         let wall = start.elapsed();
@@ -130,40 +130,23 @@ pub fn fig_scale(
         }
     });
 
-    sizes
-        .iter()
-        .enumerate()
-        .map(|(s, &motes)| {
-            let side = (motes as f64).sqrt().floor() as i16;
-            let mut row = ScaleRow {
+    beds.iter()
+        .zip(&outcomes)
+        .map(|(&(side, _), o)| {
+            let wall: std::time::Duration = o.iter().map(|o| o.wall).sum();
+            let sim_per_wall_s = (measure_wall && !wall.is_zero())
+                .then(|| (sim_s * u64::from(trials)) as f64 / wall.as_secs_f64());
+            ScaleRow {
                 motes: (side as usize) * (side as usize),
                 side,
                 sim_s,
-                injected: 0,
-                migrations: 0,
-                frames: 0,
-                beacons: 0,
-                events: 0,
-                sim_per_wall_s: None,
-            };
-            let mut wall = std::time::Duration::ZERO;
-            // Fold in spec order — deterministic at any thread count.
-            for ((is, _, _), o) in items.iter().zip(&outcomes) {
-                if *is != s {
-                    continue;
-                }
-                row.injected += o.injected;
-                row.migrations += o.migrations;
-                row.frames += o.frames;
-                row.beacons += o.beacons;
-                row.events += o.events;
-                wall += o.wall;
+                injected: o.iter().map(|o| o.injected).sum(),
+                migrations: o.iter().map(|o| o.migrations).sum(),
+                frames: o.iter().map(|o| o.frames).sum(),
+                beacons: o.iter().map(|o| o.beacons).sum(),
+                events: o.iter().map(|o| o.events).sum(),
+                sim_per_wall_s,
             }
-            if measure_wall && !wall.is_zero() {
-                let total_sim = sim_s * u64::from(trials);
-                row.sim_per_wall_s = Some(total_sim as f64 / wall.as_secs_f64());
-            }
-            row
         })
         .collect()
 }
@@ -174,7 +157,7 @@ mod tests {
 
     #[test]
     fn fig_scale_runs_and_scales_event_counts_with_motes() {
-        let rows = fig_scale(&[64, 256], 1, 3, 0x5CA1E, 1, false);
+        let rows = fig_scale(&[64, 256], 1, 3, 0x5CA1E, &mut TrialExecutor::new(1), false);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].motes, 64);
         assert_eq!(rows[1].motes, 256);
@@ -191,7 +174,7 @@ mod tests {
 
     #[test]
     fn timed_runs_report_a_wall_rate() {
-        let rows = fig_scale(&[100], 1, 3, 0xD157, 1, true);
+        let rows = fig_scale(&[100], 1, 3, 0xD157, &mut TrialExecutor::new(1), true);
         assert!(rows[0].sim_per_wall_s.expect("wall timing on") > 0.0);
     }
 

@@ -114,9 +114,6 @@ enum Departure {
 /// the string-name resolution out of the hot path: a bump is a single
 /// indexed add into the metrics registry's flat array. Report-time series
 /// (the `energy.*` gauges) keep using the named API.
-///
-/// The registration sequence is fixed, so re-running it against a fresh
-/// registry (see [`AgillaNetwork::take_metrics`]) yields identical ids.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NetCounters {
     frames_sent: CounterId,
@@ -649,17 +646,6 @@ impl AgillaNetwork {
     /// Metrics counters.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Moves the metrics registry out of the network (leaving an empty
-    /// one), so a trial executor can fold per-trial metrics into a batch
-    /// total without cloning the maps. The replacement registry re-runs
-    /// the same counter registration sequence, so the network's
-    /// pre-resolved [`CounterId`] handles stay valid.
-    pub fn take_metrics(&mut self) -> Metrics {
-        let mut fresh = Metrics::new();
-        self.ctr = NetCounters::register(&mut fresh);
-        std::mem::replace(&mut self.metrics, fresh)
     }
 
     /// The radio medium (frame statistics).

@@ -25,8 +25,8 @@
 //! the figures have always used, so a scenario that expresses an existing
 //! figure's workload (a one-shot injection at t = 0, run for 20 s)
 //! produces byte-identical results to the hand-written step script it
-//! replaced — and the executor (`run_trials_parallel`) needs no changes to
-//! fan scenarios across worker threads.
+//! replaced — and the executor (`agilla-bench`'s `TrialExecutor`) needs no
+//! changes to fan scenarios across worker threads.
 //!
 //! # Determinism
 //!

@@ -10,9 +10,9 @@
 //!
 //! A spec is `Clone + Send + Sync` and a trial's outcome is a pure function
 //! of its spec, so an executor is free to run specs in any order on any
-//! thread — `agilla-bench`'s `run_trials_parallel` fans them across worker
-//! threads and merges results in spec order, byte-identical to the serial
-//! path.
+//! thread — `agilla-bench`'s `TrialExecutor::sweep` fans them across
+//! worker threads and hands each figure its results in trial order,
+//! byte-identical to the serial path.
 //!
 //! Trials run with diagnostic trace capture off: measurements come from the
 //! experiment log and the metrics registry, and skipping per-record trace

@@ -135,8 +135,9 @@ impl fmt::Display for LatencyRecorder {
 /// Bucket 0 holds the value 0; bucket `i` (1 ≤ i ≤ 64) holds values in
 /// `[2^(i-1), 2^i)`. The bucket layout is fixed at construction, so
 /// merging two histograms is element-wise addition — commutative and
-/// associative, which keeps [`Metrics::merge`] order-independent no
-/// matter how trials were scheduled onto worker threads. The price is
+/// associative, which keeps a fold of per-trial histograms
+/// order-independent no matter how trials were scheduled onto worker
+/// threads. The price is
 /// resolution: quantiles are reported as the upper bound of the bucket
 /// holding the nearest-rank sample, an over-estimate by at most 2×.
 ///
@@ -269,17 +270,15 @@ impl Histogram {
 /// simulator's hot path (a bump per radio frame) that lookup dominated the
 /// registry's cost. A `CounterId` is the name resolved *once*, at
 /// registration: bumping through it is a single indexed add into a flat
-/// `Vec<u64>`, with the map consulted only at registration, report, and
-/// merge time.
+/// `Vec<u64>`, with the map consulted only at registration and report
+/// time.
 ///
 /// Ids are only meaningful for the registry that minted them. Handing an
 /// id to any other registry is a logic error: debug builds catch it with
 /// an assertion (each registry carries a nonce, stamped into every id it
 /// mints); release builds do not pay for the check, so there the bump
 /// lands on whatever counter occupies that slot — or panics if the slot
-/// is out of range. A holder that swaps registries must re-register its
-/// handles against the replacement (as `AgillaNetwork::take_metrics`
-/// does).
+/// is out of range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId {
     slot: u32,
@@ -300,9 +299,8 @@ static REGISTRY_NONCES: std::sync::atomic::AtomicU32 = std::sync::atomic::Atomic
 /// constants borrow, dynamically named series (per-node energy gauges like
 /// `energy.node07.drained_mj`) pass an owned `String` without leaking it.
 ///
-/// A counter becomes *visible* to [`Metrics::counters`] and
-/// [`Metrics::merge`] once it holds a nonzero value or has been written
-/// through the named API (so explicitly recorded zeros still report);
+/// A counter becomes *visible* to [`Metrics::counters`] once it holds a
+/// nonzero value or has been written through the named API (so explicitly recorded zeros still report);
 /// registration alone does not make it visible, which keeps reports free
 /// of counters a run never touched.
 ///
@@ -320,8 +318,7 @@ static REGISTRY_NONCES: std::sync::atomic::AtomicU32 = std::sync::atomic::Atomic
 /// ```
 #[derive(Debug)]
 pub struct Metrics {
-    /// Name → slot. Touched at registration / report / merge, never on a
-    /// bump.
+    /// Name → slot. Touched at registration / report, never on a bump.
     index: BTreeMap<Cow<'static, str>, u32>,
     /// Counter values, indexed by [`CounterId`].
     counts: Vec<u64>,
@@ -464,33 +461,9 @@ impl Metrics {
             .map(|(k, &slot)| (k.as_ref(), &self.hists[slot as usize]))
     }
 
-    /// Whether the slot should appear in reports and merges.
+    /// Whether the slot should appear in reports.
     fn visible(&self, slot: u32) -> bool {
         self.counts[slot as usize] != 0 || self.written[slot as usize]
-    }
-
-    /// Folds another registry into this one: counters are summed and
-    /// histograms folded **by name** (ids are registry-local and may
-    /// disagree between registries that registered in different orders).
-    ///
-    /// This is how a trial executor merges per-trial metrics without
-    /// cross-thread contention: each trial accumulates into its own
-    /// registry on its worker thread, and the batch folds the registries
-    /// one by one in seed order afterwards — the result is independent of
-    /// how trials were scheduled onto threads, and (for counter totals) of
-    /// the fold order itself.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (name, &slot) in &other.index {
-            if other.visible(slot) {
-                self.add(name.clone(), other.counts[slot as usize]);
-            }
-        }
-        for (name, &slot) in &other.hist_index {
-            let theirs = &other.hists[slot as usize];
-            if !theirs.is_empty() {
-                self.histogram_mut(name.clone()).merge(theirs);
-            }
-        }
     }
 
     /// Iterates visible counters in name order.
@@ -619,27 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_keyed_by_name_not_by_slot() {
-        // Two registries registering the same names in opposite orders get
-        // different slot assignments; merging must still sum by name.
-        let mut a = Metrics::new();
-        let a_tx = a.register("tx");
-        let a_rx = a.register("rx");
-        let mut b = Metrics::new();
-        let b_rx = b.register("rx");
-        let b_tx = b.register("tx");
-        for (id, n) in [(a_tx, 10), (a_rx, 1)] {
-            (0..n).for_each(|_| a.bump(id));
-        }
-        for (id, n) in [(b_tx, 100), (b_rx, 2)] {
-            (0..n).for_each(|_| b.bump(id));
-        }
-        a.merge(&b);
-        assert_eq!(a.counter("tx"), 110);
-        assert_eq!(a.counter("rx"), 3);
-    }
-
-    #[test]
     fn dynamic_counter_names_need_no_leaked_strings() {
         let mut m = Metrics::new();
         for node in 0..3 {
@@ -661,23 +613,6 @@ mod tests {
         );
         m.set("energy.node00.drained_mj", 99);
         assert_eq!(m.counter("energy.node00.drained_mj"), 99);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_appends_latencies() {
-        let mut a = Metrics::new();
-        a.add("tx", 2);
-        a.observe_named("op", 10);
-        let mut b = Metrics::new();
-        b.add("tx", 3);
-        b.add("rx", 1);
-        b.observe_named("op", 30);
-        a.merge(&b);
-        assert_eq!(a.counter("tx"), 5);
-        assert_eq!(a.counter("rx"), 1);
-        let h = a.histogram("op").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.mean(), 20);
     }
 
     #[test]
@@ -731,20 +666,6 @@ mod tests {
         assert_eq!(m.histogram("op.latency_us").unwrap().count(), 2);
     }
 
-    #[test]
-    fn merge_folds_histograms_by_name() {
-        let mut a = Metrics::new();
-        a.observe_named("lat", 4);
-        let mut b = Metrics::new();
-        b.observe_named("lat", 700);
-        b.observe_named("other", 1);
-        let _ = b.histogram_mut("empty".into()); // never observed: not merged
-        a.merge(&b);
-        assert_eq!(a.histogram("lat").unwrap().count(), 2);
-        assert_eq!(a.histogram("other").unwrap().count(), 1);
-        assert!(a.histogram("empty").is_none());
-    }
-
     proptest! {
         /// Bucketed quantiles over-estimate by at most 2× and never
         /// under-estimate the true nearest-rank quantile.
@@ -768,7 +689,8 @@ mod tests {
         }
 
         /// Histogram merge is order-independent and matches serial
-        /// accumulation exactly — the contract the trial executor needs.
+        /// accumulation exactly (count, buckets and mean) — the contract
+        /// a fold of per-trial histograms depends on.
         #[test]
         fn prop_histogram_merge_order_independent(
             trials in proptest::collection::vec(
@@ -776,40 +698,32 @@ mod tests {
                 1..6,
             ),
         ) {
-            let mut serial = Metrics::new();
-            for trial in &trials {
-                for &v in trial {
-                    serial.observe_named("lat", v);
-                }
+            let mut serial = Histogram::new();
+            for &v in trials.iter().flatten() {
+                serial.record(v);
             }
-            let per_trial: Vec<Metrics> = trials
+            let per_trial: Vec<Histogram> = trials
                 .iter()
                 .map(|trial| {
-                    let mut m = Metrics::new();
+                    let mut h = Histogram::new();
                     for &v in trial {
-                        m.observe_named("lat", v);
+                        h.record(v);
                     }
-                    m
+                    h
                 })
                 .collect();
-            let fold = |order: &mut dyn Iterator<Item = &Metrics>| {
-                let mut total = Metrics::new();
-                for m in order {
-                    total.merge(m);
+            let view = |h: &Histogram| (h.count(), h.buckets().collect::<Vec<_>>(), h.mean());
+            let fold = |order: &mut dyn Iterator<Item = &Histogram>| {
+                let mut total = Histogram::new();
+                for h in order {
+                    total.merge(h);
                 }
-                total
-                    .histograms()
-                    .map(|(k, h)| (k.to_string(), h.buckets().collect::<Vec<_>>()))
-                    .collect::<Vec<_>>()
+                view(&total)
             };
             let forward = fold(&mut per_trial.iter());
             let backward = fold(&mut per_trial.iter().rev());
             prop_assert_eq!(&forward, &backward);
-            let serial_view: Vec<(String, Vec<(u64, u64)>)> = serial
-                .histograms()
-                .map(|(k, h)| (k.to_string(), h.buckets().collect()))
-                .collect();
-            prop_assert_eq!(forward, serial_view);
+            prop_assert_eq!(forward, view(&serial));
         }
     }
 
@@ -823,72 +737,6 @@ mod tests {
             let mean = r.mean().as_micros();
             prop_assert!(mean >= r.min().unwrap().as_micros());
             prop_assert!(mean <= r.max().unwrap().as_micros());
-        }
-
-        /// The merge contract the trial executor depends on: folding
-        /// per-trial registries in any order gives the same counter totals
-        /// as accumulating every operation serially into one registry.
-        #[test]
-        fn prop_merge_order_independent_and_matches_serial(
-            // Each inner vec is one "trial": (name index, delta) ops.
-            trials in proptest::collection::vec(
-                proptest::collection::vec((0usize..5, 0u64..50), 0..12),
-                1..6,
-            ),
-        ) {
-            const NAMES: [&str; 5] = ["rx", "tx", "mig.retx", "beacons", "drop"];
-            // Serial accumulation: one registry sees every op in order.
-            let mut serial = Metrics::new();
-            for trial in &trials {
-                for &(n, d) in trial {
-                    serial.add(NAMES[n], d);
-                }
-            }
-            // Per-trial registries. Odd-indexed trials pre-register the name
-            // universe in reverse so slot assignments disagree across
-            // registries — merging must go by name, not id.
-            let per_trial: Vec<Metrics> = trials
-                .iter()
-                .enumerate()
-                .map(|(i, trial)| {
-                    let mut m = Metrics::new();
-                    if i % 2 == 1 {
-                        for name in NAMES.iter().rev() {
-                            m.register(*name);
-                        }
-                    }
-                    let ids: Vec<CounterId> =
-                        NAMES.iter().map(|n| m.register(*n)).collect();
-                    for &(n, d) in trial {
-                        (0..d).for_each(|_| m.bump(ids[n]));
-                    }
-                    m
-                })
-                .collect();
-            let fold = |order: &mut dyn Iterator<Item = &Metrics>| {
-                let mut total = Metrics::new();
-                for m in order {
-                    total.merge(m);
-                }
-                total
-                    .counters()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect::<Vec<_>>()
-            };
-            let forward = fold(&mut per_trial.iter());
-            let backward = fold(&mut per_trial.iter().rev());
-            prop_assert_eq!(&forward, &backward, "merge depends on fold order");
-            let serial_counters: Vec<(String, u64)> = serial
-                .counters()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
-            // Serial `add` marks every touched counter written (visible even
-            // at 0); id bumps of 0 are invisible — compare nonzero entries,
-            // which is what every figure reads.
-            let nonzero = |v: &[(String, u64)]| {
-                v.iter().filter(|(_, n)| *n != 0).cloned().collect::<Vec<_>>()
-            };
-            prop_assert_eq!(nonzero(&forward), nonzero(&serial_counters));
         }
 
         #[test]
